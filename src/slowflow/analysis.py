@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import convolve_offsets, dipole_kernels, inverse_square_weights
+from .convolve import (SpectralAccumulator, convolve_offsets, dipole_kernels,
+                       inverse_square_weights)
 from .fields import ScalarField, derive, integrate
 from .report import make_report
 
@@ -145,11 +146,10 @@ def representation_reconstruct(u):
     if not np.all(np.isfinite(u.samples)):
         raise ValueError("u must be finite")
     grid = u.grid
-    kernels = dipole_kernels(grid)
-    rec = np.zeros((grid.n,) * 3)
-    for axis, K in enumerate(kernels):
-        g = derive(u, axis + 1)
-        rec += convolve_offsets(g.samples, K, grid.h)
+    acc = SpectralAccumulator(grid.n, grid.n - 1, grid.h)
+    for axis, K in enumerate(dipole_kernels(grid)):
+        acc.add(acc.field_fft(derive(u, axis + 1).samples), acc.kernel_fft(K))
+    rec = acc.extract()
     rec_field = ScalarField(grid, rec)
     num = np.sqrt(np.sum((rec - u.samples) ** 2))
     den = np.sqrt(np.sum(u.samples ** 2))

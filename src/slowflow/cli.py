@@ -15,9 +15,9 @@ import sys
 import numpy as np
 
 from . import analysis, energy, fieldgen, lerf, mollifier
-from .fields import ScalarField, integrate, make_grid
+from .fields import ScalarField, VectorField3, integrate, make_grid
 from .report import make_report, write_reports_json
-from .stokes import FluidParams, residual_check, solve_linearized
+from .stokes import FlowState, FluidParams, residual_check, solve_linearized
 
 
 class ConfigError(ValueError):
@@ -205,8 +205,6 @@ def _negative_control_report(cfg, states, forcing=None):
     clean = residual_check(states[-1], states[-2], X_mid, cfg.params)
     rng = np.random.default_rng(7)
     noisy = ScalarField(bad.grid, bad.u.u1.samples + rng.normal(0.0, 1.0, bad.u.u1.samples.shape))
-    from .fields import VectorField3
-    from .stokes import FlowState
     corrupted = FlowState(bad.t, VectorField3(noisy, bad.u.u2, bad.u.u3), bad.p)
     # judged against the clean pair's residual: corruption must dominate it
     rep = residual_check(corrupted, states[-2], X_mid, cfg.params,

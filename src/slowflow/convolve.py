@@ -1,9 +1,16 @@
 """Offset-lattice convolutions and singular-kernel cell averages.
 
-A kernel is sampled at lattice offsets z = k*h (odd-shaped array, center =
-offset 0), and the convolution out(x) = h^3 * sum_y K(x - y) U(y) treats U as
-zero outside the box.  The FFT path zero-pads; a direct-sum path exists for
-oracle comparisons on small grids.
+A kernel is sampled at lattice offsets z = k*h, |k| <= R per axis (odd-shaped
+array, center = offset 0), and the convolution out(x) = h^3 * sum_y K(x - y) U(y)
+treats U as zero outside the box.  One FFT engine, ``SpectralAccumulator``,
+serves every FFT convolution; a direct-sum path exists for oracle comparisons
+on small grids.
+
+Free-space padding (Hockney & Eastwood): the linear convolution of n samples
+with 2R+1 kernel taps has n + 2R entries, of which the window [R, R+n) is the
+result.  A cyclic transform of length P folds entry m onto m +- P, and no
+entry of the support lands in the window once P >= n + R, so the engine pads
+to P = next_fast_len(n + R), not to the full n + 2R.
 
 Kernels with an integrable singularity at an offset are represented by their
 exact cell averages near the singular point (scale-invariant constants,
@@ -36,36 +43,31 @@ def convolve_offsets(samples, kernel, h):
     """h^3 * linear convolution of a field with an odd-shaped offset kernel."""
     n = samples.shape[0]
     R = (kernel.shape[0] - 1) // 2
-    P = sfft.next_fast_len(n + 2 * R)
-    w = fft_workers()
-    F = sfft.rfftn(samples, s=(P, P, P), workers=w)
-    K = sfft.rfftn(kernel, s=(P, P, P), workers=w)
-    out = sfft.irfftn(F * K, s=(P, P, P), workers=w)
-    sl = slice(R, R + n)
-    return out[sl, sl, sl] * h ** 3
+    if R > n - 1:  # offsets beyond n - 1 never connect two cells of the box
+        inner = slice(R - n + 1, R + n)
+        kernel, R = kernel[inner, inner, inner], n - 1
+    acc = SpectralAccumulator(n, R, h)
+    acc.add(acc.field_fft(samples), acc.kernel_fft(kernel))
+    return acc.extract()
 
 
 class SpectralAccumulator:
     """Accumulate sums of kernel convolutions in the spectral domain.
 
-    All kernels must share one offset radius; the inverse transform runs once.
+    All kernels must share one offset radius R; transforms are padded to
+    P = next_fast_len(n + R) (see the module docstring) and the inverse
+    transform runs once.
     """
 
     def __init__(self, n, radius_cells, h):
         self.n = n
         self.R = int(radius_cells)
         self.h = h
-        self.P = sfft.next_fast_len(n + 2 * self.R)
+        self.P = sfft.next_fast_len(n + self.R)
         self._acc = None
-        self._field_cache = {}
 
-    def field_fft(self, samples, key=None):
-        if key is not None and key in self._field_cache:
-            return self._field_cache[key]
-        F = sfft.rfftn(samples, s=(self.P,) * 3, workers=fft_workers())
-        if key is not None:
-            self._field_cache[key] = F
-        return F
+    def field_fft(self, samples):
+        return sfft.rfftn(samples, s=(self.P,) * 3, workers=fft_workers())
 
     def kernel_fft(self, kernel):
         if kernel.shape[0] != 2 * self.R + 1:
@@ -108,9 +110,17 @@ def convolve_direct(samples, kernel, h):
     return out * h ** 3
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(m):
+    """Read-only Gauss-Legendre nodes and weights of the m-point rule on [-1, 1]."""
+    xg, wg = np.polynomial.legendre.leggauss(m)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
+
+
 def gauss_legendre_cell_average(fn, center, m=16):
     """Average of fn over the unit cube centered at ``center`` (GL m^3 rule)."""
-    xg, wg = np.polynomial.legendre.leggauss(m)
+    xg, wg = _gauss_legendre(m)
     pts = [center[d] + 0.5 * xg for d in range(3)]
     W = wg[:, None, None] * wg[None, :, None] * wg[None, None, :]
     X, Y, Z = np.meshgrid(*pts, indexing="ij")
@@ -118,69 +128,67 @@ def gauss_legendre_cell_average(fn, center, m=16):
 
 
 @lru_cache(maxsize=None)
-def _lattice_cell_averages(kind, near):
-    """Unit-h cell averages of a singular radial kernel at integer offsets.
+def _lattice_cell_averages(near):
+    """Unit-h cell averages of 1/(4 pi |z|) over the cells centered at integer
+    offsets |k|_inf <= near, as a read-only (2 near + 1)^3 block.
 
-    kind "newton": 1/(4 pi |z|); the offset-0 cell uses the exact centered-cube
-    integral.  Offsets are cells centered at lattice points; values scale as
-    1/h (newton).  Returns dict {(i,j,k): unit-average} for |offset|_inf <= near.
+    The offset-0 cell uses the exact centered-cube integral; values scale as
+    1/h.  Each distinct sorted |offset| triple is integrated once.
     """
-    if kind != "newton":
-        raise ValueError(kind)
     fn = lambda x, y, z: 1.0 / (4.0 * np.pi * np.sqrt(x * x + y * y + z * z))
-    out = {}
-    for i, j, k in product(range(near + 1), repeat=3):
-        key = tuple(sorted((i, j, k)))
-        if key in out:
-            continue
-        if key == (0, 0, 0):
+    avgs = {}
+    block = np.empty((2 * near + 1,) * 3)
+    for i, j, k in product(range(-near, near + 1), repeat=3):
+        key = tuple(sorted((abs(i), abs(j), abs(k))))
+        if key not in avgs:
             # centered unit cube = 8 corner half-cubes, each (1/4) of B3(-1)
-            out[key] = 8 * 0.25 * CORNER_CUBE_INV_R / (4.0 * np.pi)
-        else:
-            out[key] = gauss_legendre_cell_average(fn, np.array([i, j, k], float))
-    return out
+            avgs[key] = (8 * 0.25 * CORNER_CUBE_INV_R / (4.0 * np.pi) if key == (0, 0, 0)
+                         else gauss_legendre_cell_average(fn, np.array(key, float)))
+        block[i + near, j + near, k + near] = avgs[key]
+    block.flags.writeable = False
+    return block
 
 
 @lru_cache(maxsize=None)
 def _dipole_cell_averages(near):
-    """Unit-h cell averages of z1/(4 pi |z|^3) at integer offsets (i,j,k), i >= 0.
+    """Unit-h cell averages of z1/(4 pi |z|^3) over the cells centered at
+    integer offsets |k|_inf <= near, as a read-only (2 near + 1)^3 block.
 
-    Odd in z1: the offset-0 cell average is exactly zero.  Values scale as
-    1/h^2.  Keyed by (i, j, k) with j <= k; signs/axes handled by the caller.
+    Odd in z1: the cells of the z1 = 0 plane average to exactly zero.  Values
+    scale as 1/h^2; the z2 and z3 kernels are this block with axes permuted.
     """
     fn = lambda x, y, z: x / (4.0 * np.pi * (x * x + y * y + z * z) ** 1.5)
-    out = {}
-    for i in range(near + 1):
-        for j, k in product(range(near + 1), repeat=2):
-            key = (i, *sorted((j, k)))
-            if key in out:
-                continue
-            if i == 0:
-                out[key] = 0.0  # odd in z1 across the cell
-            else:
-                out[key] = gauss_legendre_cell_average(fn, np.array([i, j, k], float))
-    return out
+    avgs = {}
+    block = np.empty((2 * near + 1,) * 3)
+    for i, j, k in product(range(-near, near + 1), repeat=3):
+        key = (abs(i), *sorted((abs(j), abs(k))))
+        if key not in avgs:
+            avgs[key] = 0.0 if i == 0 else gauss_legendre_cell_average(fn, np.array(key, float))
+        block[i + near, j + near, k + near] = np.sign(i) * avgs[key]
+    block.flags.writeable = False
+    return block
 
 
 @lru_cache(maxsize=None)
 def _half_offset_inv_r2_averages(near):
-    """Unit-h cell averages of 1/|z|^2 over cells [i,i+1]x[j,j+1]x[k,k+1].
+    """Unit-h cell averages of 1/|z|^2 over the cells [i,i+1]x[j,j+1]x[k,k+1],
+    -near <= i, j, k < near, as a read-only (2 near)^3 block.
 
     This is the corner-singularity layout (origin at a cell vertex, as on an
     even cell-centered grid).  The eight corner cells use the exact corner-cube
     integral.  Values scale as 1/h^2.
     """
     fn = lambda x, y, z: 1.0 / (x * x + y * y + z * z)
-    out = {}
-    for i, j, k in product(range(near), repeat=3):
-        key = tuple(sorted((i, j, k)))
-        if key in out:
-            continue
-        if key == (0, 0, 0):
-            out[key] = CORNER_CUBE_INV_R2
-        else:
-            out[key] = gauss_legendre_cell_average(fn, np.array([i, j, k], float) + 0.5)
-    return out
+    avgs = {}
+    block = np.empty((2 * near,) * 3)
+    for i, j, k in product(range(-near, near), repeat=3):
+        key = tuple(sorted(m if m >= 0 else -1 - m for m in (i, j, k)))  # first-octant mirror
+        if key not in avgs:
+            avgs[key] = (CORNER_CUBE_INV_R2 if key == (0, 0, 0)
+                         else gauss_legendre_cell_average(fn, np.array(key, float) + 0.5))
+        block[i + near, j + near, k + near] = avgs[key]
+    block.flags.writeable = False
+    return block
 
 
 def inverse_square_weights(grid, near=3):
@@ -194,16 +202,9 @@ def inverse_square_weights(grid, near=3):
     R2 = X1 ** 2 + X2 ** 2 + X3 ** 2
     h = grid.h
     W = 1.0 / R2 + (h * h / 12.0) / R2 ** 2
-    avgs = _half_offset_inv_r2_averages(near)
-    i0 = grid.n // 2
-    for i, j, k in product(range(-near, near), repeat=3):
-        idx = (i0 + i, i0 + j, i0 + k)
-        if not all(0 <= t < grid.n for t in idx):
-            continue
-        key = tuple(sorted((i if i >= 0 else -1 - i,
-                            j if j >= 0 else -1 - j,
-                            k if k >= 0 else -1 - k)))
-        W[idx] = avgs[key] / (h * h)
+    near = min(near, grid.n // 2)
+    sl = slice(grid.n // 2 - near, grid.n // 2 + near)
+    W[sl, sl, sl] = _half_offset_inv_r2_averages(near) / (h * h)
     return W
 
 
@@ -215,11 +216,8 @@ def newton_kernel(grid, near=3):
     c = grid.n - 1
     R2[c, c, c] = 1.0
     K = 1.0 / (4.0 * np.pi * np.sqrt(R2))
-    h = grid.h
-    avgs = _lattice_cell_averages("newton", near)
-    for i, j, k in product(range(-near, near + 1), repeat=3):
-        key = tuple(sorted((abs(i), abs(j), abs(k))))
-        K[c + i, c + j, c + k] = avgs[key] / h
+    sl = slice(c - near, c + near + 1)
+    K[sl, sl, sl] = _lattice_cell_averages(near) / grid.h
     return K
 
 
@@ -235,17 +233,11 @@ def dipole_kernels(grid, near=3):
     c = grid.n - 1
     R2[c, c, c] = 1.0
     denom = 4.0 * np.pi * R2 ** 1.5
-    h = grid.h
-    avgs = _dipole_cell_averages(near)
+    near_block = _dipole_cell_averages(near) / (grid.h * grid.h)
+    sl = slice(c - near, c + near + 1)
     kernels = []
     for comp, O in enumerate((OX, OY, OZ)):
         K = O / denom
-        K[c, c, c] = 0.0
-        for i, j, k in product(range(-near, near + 1), repeat=3):
-            trip = (i, j, k)
-            a = trip[comp]
-            rest = tuple(sorted(abs(trip[m]) for m in range(3) if m != comp))
-            val = np.sign(a) * avgs[(abs(a), *rest)]
-            K[c + i, c + j, c + k] = val / (h * h)
+        K[sl, sl, sl] = np.moveaxis(near_block, 0, comp)
         kernels.append(K)
     return kernels

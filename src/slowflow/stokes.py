@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import erf
 
-from .convolve import SpectralAccumulator, convolve_offsets, newton_kernel
+from .convolve import SpectralAccumulator, _gauss_legendre, newton_kernel
 from .fields import ScalarField, VectorField3, derive, divergence, seminorm_jm
 from .report import make_report
 
@@ -87,6 +88,20 @@ class ForcingField:
         return X
 
 
+def _heat_radius(grid, nu_t):
+    """Offset radius of the heat kernel: 8 widths sqrt(2 nu t), clipped to [1, n-1]."""
+    return max(1, min(grid.n - 1, int(np.ceil(8.0 * np.sqrt(2.0 * nu_t) / grid.h)) + 1))
+
+
+def _heat_factor(grid, nu_t, normalized=True):
+    """1D factor k and radius R of the truncated heat kernel K = k(x) k(y) k(z),
+    up to the 1/h^3 of the unit-mass kernel when ``normalized``."""
+    R = _heat_radius(grid, nu_t)
+    off = grid.offsets(R)
+    p = np.exp(-off * off / (4.0 * nu_t))
+    return (p / p.sum() if normalized else p / np.sqrt(4.0 * np.pi * nu_t)), R
+
+
 def heat_kernel_on_grid(grid, nu_t, normalized=True):
     """Gaussian offset kernel of variance 2*nu*t per axis, truncated at 8 widths.
 
@@ -94,18 +109,20 @@ def heat_kernel_on_grid(grid, nu_t, normalized=True):
     convolution weights a convex combination (sup and energy contraction hold
     exactly, constants are preserved exactly).
     """
-    sigma = np.sqrt(2.0 * nu_t)
-    R = max(1, min(grid.n - 1, int(np.ceil(8.0 * sigma / grid.h)) + 1))
-    off = grid.offsets(R)
-    OX, OY, OZ = np.meshgrid(off, off, off, indexing="ij")
-    K = np.exp(-(OX ** 2 + OY ** 2 + OZ ** 2) / (4.0 * nu_t)) / (4.0 * np.pi * nu_t) ** 1.5
-    if normalized:
-        K = K / (K.sum() * grid.cell_volume)
-    return K, R
+    k, R = _heat_factor(grid, nu_t, normalized)
+    K = k[:, None, None] * k[None, :, None] * k[None, None, :]
+    return (K / grid.cell_volume if normalized else K), R
 
 
 def heat_propagate(u0, params, t):
-    """Evolve u0 for time t under pure diffusion (componentwise convolution)."""
+    """Evolve u0 for time t under pure diffusion (componentwise convolution).
+
+    The truncated kernel lives on a cube of offsets, so it is exactly
+    separable: the unit-mass kernel of ``heat_kernel_on_grid`` is
+    k(x) k(y) k(z) / h^3 with k = profile / profile.sum().  Each component is
+    convolved with k along each axis through an n x n banded Toeplitz matrix;
+    no 3D transform runs.
+    """
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0:
@@ -114,10 +131,13 @@ def heat_propagate(u0, params, t):
     # resolution floor: at least one sample inside one kernel standard width
     if np.sqrt(2.0 * params.nu * t) < 0.5 * grid.h:
         raise ValueError("under-resolved: heat kernel width sqrt(2 nu t) < h/2")
-    K, _ = heat_kernel_on_grid(grid, params.nu * t)
-    return VectorField3.from_arrays(
-        grid, *(convolve_offsets(c.samples, K, grid.h) for c in u0.components)
-    )
+    k, R = _heat_factor(grid, params.nu * t)
+    lag = np.subtract.outer(np.arange(grid.n), np.arange(grid.n))
+    T = np.where(np.abs(lag) <= R, k[np.clip(lag + R, 0, 2 * R)], 0.0)
+    out = [c.samples for c in u0.components]
+    for ax in (2, 1, 0):  # ending on axis 0 leaves C-ordered arrays
+        out = [np.moveaxis(np.tensordot(T, a, axes=(1, ax)), 0, ax) for a in out]
+    return VectorField3.from_arrays(grid, *out)
 
 
 def _oseen_radial(x):
@@ -178,11 +198,9 @@ def _phi_from_quadrature(r, nu_tau):
     """Oracle route for Phi: radial integral of the one-dimensional heat profile
     E(alpha) = exp(-alpha^2/(4 nu tau)) / (4 pi^{3/2} sqrt(nu tau)), by adaptive
     quadrature.  Equals erf(r/(2 sqrt(nu tau)))/(4 pi r)."""
-    from scipy import integrate as _si
-
     c = 1.0 / (4.0 * SQRT_PI ** 3 * np.sqrt(nu_tau))
-    val, _ = _si.quad(lambda a: np.exp(-a * a / (4.0 * nu_tau)), 0.0, r,
-                      epsabs=1e-14, epsrel=1e-13)
+    val, _ = quad(lambda a: np.exp(-a * a / (4.0 * nu_tau)), 0.0, r,
+                  epsabs=1e-14, epsrel=1e-13)
     return c * val / r
 
 
@@ -199,34 +217,35 @@ def _erf_potential_kernel(grid, nu_tau, R):
     """Offset kernel Phi(r, tau) = erf(r/(2 sqrt(nu tau)))/(4 pi r).
 
     Smooth for tau > 0 (Phi(0) = 1/(2 pi^{3/2} a)); when the inner scale
-    a = 2 sqrt(nu tau) is under-resolved, cells near the origin are replaced
-    by Gauss-Legendre cell averages so the kernel's action on smooth fields
-    stays second-order accurate.
+    a = 2 sqrt(nu tau) is under-resolved, the 5^3 cells nearest the origin are
+    replaced by Gauss-Legendre (m = 8) cell averages so the kernel's action on
+    smooth fields stays second-order accurate.
     """
-    from scipy.special import erf as _erf_fn
-    from .convolve import gauss_legendre_cell_average
-
     a = 2.0 * np.sqrt(nu_tau)
-    off = grid.offsets(R)
-    OX, OY, OZ = np.meshgrid(off, off, off, indexing="ij")
-    R2 = OX ** 2 + OY ** 2 + OZ ** 2
-    c = R
-    R2[c, c, c] = 1.0
-    r = np.sqrt(R2)
-    K = erf(r / a) / (4.0 * np.pi * r)
-    K[c, c, c] = 1.0 / (2.0 * SQRT_PI ** 3 * a)
-    if a < 2.0 * grid.h:
-        h = grid.h
-        fn = lambda x, y, z: np.where(
-            (x * x + y * y + z * z) > 0,
-            _erf_fn(np.sqrt(x * x + y * y + z * z) * (h / a)) /
-            (4.0 * np.pi * np.maximum(np.sqrt(x * x + y * y + z * z), 1e-300) * h),
-            1.0 / (2.0 * SQRT_PI ** 3 * a),
-        )
-        from itertools import product as _product
-        for i, j, k in _product(range(-2, 3), repeat=3):
-            K[c + i, c + j, c + k] = gauss_legendre_cell_average(
-                fn, np.array([i, j, k], float), m=8)
+    h = grid.h
+    # Phi is radial: evaluate it once per integer |offset|^2 and gather
+    m2 = np.arange(3 * R * R + 1, dtype=np.float64)
+    m2[0] = 1.0
+    r = h * np.sqrt(m2)
+    phi = erf(r / a) / (4.0 * np.pi * r)
+    phi[0] = 1.0 / (2.0 * SQRT_PI ** 3 * a)
+    k2 = np.arange(-R, R + 1) ** 2
+    K = phi[k2[:, None, None] + k2[None, :, None] + k2[None, None, :]]
+    if a < 2.0 * h:
+        xg, wg = _gauss_legendre(8)
+        # unit-h node coordinates per (cell, node) for the cells at offsets
+        # 0, 1, 2 (the symmetric rule mirrors them onto -1, -2); the even rule
+        # has no node at a cell center, so r > 0 at every node
+        pts = np.arange(3.0)[:, None] + 0.5 * xg
+        x = pts[:, None, None, :, None, None]
+        y = pts[None, :, None, None, :, None]
+        z = pts[None, None, :, None, None, :]
+        rn = np.sqrt(x * x + y * y + z * z)
+        vals = erf(rn * (h / a)) / (4.0 * np.pi * rn * h)
+        W = wg[:, None, None] * wg[None, :, None] * wg[None, None, :]
+        block = np.einsum("ijkabc,abc->ijk", vals, W) / 8.0
+        mirror = [2, 1, 0, 1, 2]
+        K[R - 2:R + 3, R - 2:R + 3, R - 2:R + 3] = block[np.ix_(mirror, mirror, mirror)]
     return K
 
 
@@ -247,27 +266,17 @@ def forced_response(X, params, t, assume_solenoidal=False):
     grid = X.grid
     nu = params.nu
     taus = _duhamel_taus(t, grid.h, nu)
-    sigma_max = np.sqrt(2.0 * nu * taus[-1])
-    R_heat = max(1, min(grid.n - 1, int(np.ceil(8.0 * sigma_max / grid.h)) + 1))
+    R_heat = _heat_radius(grid, nu * taus[-1])
     acc = [SpectralAccumulator(grid.n, R_heat, grid.h) for _ in range(3)]
     acc_div = SpectralAccumulator(grid.n, grid.n - 1, grid.h) if not assume_solenoidal else None
 
-    def weights(k):
-        if k == 0:
-            return 0.5 * (taus[1] - taus[0])
-        if k == len(taus) - 1:
-            return 0.5 * (taus[-1] - taus[-2])
-        return 0.5 * (taus[k + 1] - taus[k - 1])
-
-    for k, tau in enumerate(taus):
-        w = weights(k)
+    # trapezoid weights of the (non-uniform) tau nodes
+    ends = np.concatenate(([taus[0]], taus, [taus[-1]]))
+    weights = 0.5 * (ends[2:] - ends[:-2])
+    for tau, w in zip(taus, weights):
         Xf = X.at(t - tau)
-        K, _ = heat_kernel_on_grid(grid, nu * tau)
-        rk = (K.shape[0] - 1) // 2
-        full = np.zeros((2 * R_heat + 1,) * 3)
-        sl = slice(R_heat - rk, R_heat + rk + 1)
-        full[sl, sl, sl] = K
-        KF = acc[0].kernel_fft(full)
+        K, rk = heat_kernel_on_grid(grid, nu * tau)
+        KF = acc[0].kernel_fft(np.pad(K, R_heat - rk))
         for i in range(3):
             acc[i].add(acc[0].field_fft(Xf.components[i].samples), KF, w)
         if acc_div is not None:
@@ -283,12 +292,9 @@ def forced_response(X, params, t, assume_solenoidal=False):
     for i in range(3):
         out[i] += 0.5 * tau0 * (X_t.components[i].samples + X_t0.components[i].samples)
     if acc_div is not None:
-        pot = acc_div.extract()
-        N = newton_kernel(grid)
-        div_t = divergence(X_t).samples
-        div_t0 = divergence(X_t0).samples
-        pot += 0.5 * tau0 * convolve_offsets(0.5 * (div_t + div_t0), N, grid.h)
-        pot_field = ScalarField(grid, pot)
+        div_mid = 0.5 * (divergence(X_t).samples + divergence(X_t0).samples)
+        acc_div.add(acc_div.field_fft(div_mid), acc_div.kernel_fft(newton_kernel(grid)), 0.5 * tau0)
+        pot_field = ScalarField(grid, acc_div.extract())
         for i in range(3):
             out[i] += derive(pot_field, i + 1).samples
     return VectorField3.from_arrays(grid, *out)
@@ -297,11 +303,12 @@ def forced_response(X, params, t, assume_solenoidal=False):
 def pressure_field(X_t, params):
     """Newtonian-potential pressure -rho * d_j (N * X_j) for the forcing at one time."""
     grid = X_t.grid
-    N = newton_kernel(grid)
+    accs = [SpectralAccumulator(grid.n, grid.n - 1, grid.h) for _ in range(3)]
+    NF = accs[0].kernel_fft(newton_kernel(grid))
     total = np.zeros((grid.n,) * 3)
-    for comp, ax in zip(X_t.components, (1, 2, 3)):
-        pot = ScalarField(grid, convolve_offsets(comp.samples, N, grid.h))
-        total += derive(pot, ax).samples
+    for acc, comp, ax in zip(accs, X_t.components, (1, 2, 3)):
+        acc.add(acc.field_fft(comp.samples), NF)
+        total += derive(ScalarField(grid, acc.extract()), ax).samples
     return ScalarField(grid, -params.rho * total)
 
 

@@ -10,6 +10,7 @@ from slowflow.analysis import (SequenceProbe, convolution_bound_check,
                                representation_reconstruct, schwarz_check,
                                strong_mean_distance, time_minkowski_check,
                                weak_pairing_probe)
+from slowflow.convolve import convolve_offsets, dipole_kernels
 from slowflow.fieldgen import (gaussian_bump, gaussian_mixture, sin_probe,
                                solenoidal_gaussian)
 from slowflow.mollifier import kernel_on_grid, make_kernel, mollify
@@ -201,6 +202,13 @@ class TestRepresentation:
         _, rep = representation_reconstruct(gaussian_bump(g, width=1.0))
         assert rep.passed
         assert rep.lhs < 0.10
+
+    def test_matches_sum_of_dipole_convolutions(self, grid16):
+        U = gaussian_bump(grid16, width=0.8, center=(0.3, 0.2, -0.1))
+        ref = sum(convolve_offsets(derive(U, ax + 1).samples, K, grid16.h)
+                  for ax, K in enumerate(dipole_kernels(grid16)))
+        rec, _ = representation_reconstruct(U)
+        np.testing.assert_allclose(rec.samples, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 class TestHardy:

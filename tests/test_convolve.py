@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from slowflow import make_grid
-from slowflow.convolve import (convolve_direct, convolve_offsets,
-                               dipole_kernels, gauss_legendre_cell_average,
+from slowflow.convolve import (SpectralAccumulator, convolve_direct,
+                               convolve_offsets, dipole_kernels,
+                               gauss_legendre_cell_average,
                                inverse_square_weights, newton_kernel)
 
 
@@ -14,6 +16,34 @@ def test_fft_matches_direct_sum(rng):
     a = convolve_offsets(field, kernel, g.h)
     b = convolve_direct(field, kernel, g.h)
     np.testing.assert_allclose(a, b, atol=1e-12 * np.abs(b).max())
+
+
+@pytest.mark.parametrize("radius", [6, 7])
+def test_fft_matches_direct_sum_for_wide_asymmetric_kernels(rng, radius):
+    # R = n-2 and n-1 sit at the tight-padding limit P >= n + R.  A random
+    # kernel has no symmetry that could hide a flipped or shifted window.
+    g = make_grid(8, 2.0)
+    field = rng.standard_normal((8,) * 3)
+    kernel = rng.standard_normal((2 * radius + 1,) * 3)
+    a = convolve_offsets(field, kernel, g.h)
+    b = convolve_direct(field, kernel, g.h)
+    np.testing.assert_allclose(a, b, atol=1e-12 * np.abs(b).max())
+
+
+def test_kernel_offsets_beyond_the_box_are_dropped(rng):
+    # offsets |k| >= n connect no two cells, so a kernel of radius n+1 acts
+    # like its central radius-(n-1) part
+    g = make_grid(8, 2.0)
+    field = rng.standard_normal((8,) * 3)
+    kernel = rng.standard_normal((19,) * 3)
+    a = convolve_offsets(field, kernel, g.h)
+    b = convolve_direct(field, kernel[2:-2, 2:-2, 2:-2], g.h)
+    np.testing.assert_allclose(a, b, atol=1e-12 * np.abs(b).max())
+
+
+@pytest.mark.parametrize("n, radius", [(24, 23), (24, 5), (40, 1), (64, 63)])
+def test_accumulator_pads_tightly(n, radius):
+    assert SpectralAccumulator(n, radius, 0.1).P == sfft.next_fast_len(n + radius)
 
 
 def test_cell_average_exact_for_polynomials():

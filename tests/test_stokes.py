@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
-from slowflow import (ScalarField, VectorField3, divergence, flow_energy,
-                      make_grid, seminorm_jm, sup_norm)
-from slowflow.convolve import convolve_direct, convolve_offsets, newton_kernel
+from slowflow import (ScalarField, VectorField3, derive, divergence,
+                      flow_energy, make_grid, seminorm_jm, sup_norm)
+from slowflow.convolve import (convolve_direct, convolve_offsets,
+                               gauss_legendre_cell_average, newton_kernel)
 from slowflow.fieldgen import (gradient_pulse_forcing, ramped_forcing,
                                solenoidal_gaussian,
                                solenoidal_gaussian_laplacian,
                                solenoidal_pulse_forcing)
 from slowflow.stokes import (FlowState, FluidParams, ForcingField,
-                             _phi_from_quadrature, forced_response,
-                             heat_kernel_on_grid, heat_propagate,
+                             _erf_potential_kernel, _phi_from_quadrature,
+                             forced_response, heat_kernel_on_grid, heat_propagate,
                              oseen_decay_constant, oseen_tensor_eval,
                              pressure_field, residual_check, solve_linearized)
 
@@ -61,6 +63,16 @@ class TestHeatPropagate:
             heat_propagate(u0, PAR, 1e-4)
         with pytest.raises(ValueError, match="t must be >= 0"):
             heat_propagate(u0, PAR, -0.1)
+
+    @pytest.mark.parametrize("t", [0.1, 0.25, 6.0])  # 6.0 clips the radius at n-1
+    def test_separable_path_matches_3d_convolution(self, grid16, t):
+        u0 = solenoidal_gaussian(grid16, width=1.0)
+        u = heat_propagate(u0, PAR, t)
+        K, R = heat_kernel_on_grid(grid16, PAR.nu * t)
+        assert (R == grid16.n - 1) == (t == 6.0)
+        for a, c in zip(u.components, u0.components):
+            ref = convolve_offsets(c.samples, K, grid16.h)
+            np.testing.assert_allclose(a.samples, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
     def test_kernel_mass_is_one(self, grid32):
         K, _ = heat_kernel_on_grid(grid32, 0.3)
@@ -118,11 +130,24 @@ class TestOseenTensor:
         assert np.isfinite(A) and A > 0
 
     def test_potential_matches_adaptive_quadrature(self):
-        from scipy.special import erf
         for r, tau in ((0.5, 0.2), (2.0, 1.0), (0.05, 0.3)):
             nu_tau = PAR.nu * tau
             closed = erf(r / (2 * np.sqrt(nu_tau))) / (4 * np.pi * r)
             assert _phi_from_quadrature(r, nu_tau) == pytest.approx(closed, rel=1e-12)
+
+    def test_erf_near_block_matches_per_cell_averages(self):
+        g = make_grid(24, 4.5)
+        nu_tau = 1e-3  # a = 2 sqrt(nu tau) < 2h: the near block is replaced
+        a, h, c = 2.0 * np.sqrt(nu_tau), g.h, g.n - 1
+        K = _erf_potential_kernel(g, nu_tau, g.n - 1)
+
+        def fn(x, y, z):
+            r = np.sqrt(x * x + y * y + z * z)
+            return erf(r * (h / a)) / (4.0 * np.pi * r * h)
+
+        for i, j, k in np.ndindex(5, 5, 5):
+            ref = gauss_legendre_cell_average(fn, np.array([i - 2, j - 2, k - 2], float), m=8)
+            assert K[c + i - 2, c + j - 2, c + k - 2] == pytest.approx(ref, rel=1e-14, abs=0)
 
     def test_tensor_matches_hessian_of_quadrature_potential(self):
         # independent oracle: numerical Hessian of the quadrature-evaluated
@@ -262,6 +287,15 @@ class TestPressure:
         a = convolve_offsets(f, N, g.h)
         b = convolve_direct(f, N, g.h)
         np.testing.assert_allclose(a, b, atol=1e-12 * np.abs(b).max())
+
+    def test_matches_componentwise_convolution(self, grid16, rng):
+        X = VectorField3.from_arrays(grid16, *rng.standard_normal((3, 16, 16, 16)))
+        N = newton_kernel(grid16)
+        ref = -PAR.rho * sum(
+            derive(ScalarField(grid16, convolve_offsets(c.samples, N, grid16.h)), ax).samples
+            for c, ax in zip(X.components, (1, 2, 3)))
+        p = pressure_field(X, PAR).samples
+        np.testing.assert_allclose(p, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
     def test_rejects_nan(self, grid16):
         bad = np.zeros((16,) * 3)
