@@ -168,7 +168,7 @@ def hardy_check(u):
     grid = u.grid
     W = inverse_square_weights(grid)
     lhs = float(np.sum(u.samples ** 2 * W) * grid.cell_volume)
-    rhs = 4.0 * sum(integrate(derive(u, ax), derive(u, ax)) for ax in (1, 2, 3))
+    rhs = 4.0 * sum(integrate(d, d) for d in (derive(u, ax) for ax in (1, 2, 3)))
     tol = INEQ_RTOL * max(abs(lhs), abs(rhs), 1e-300)
     return make_report("hardy", lhs, rhs, tol,
                        {"grid_n": grid.n, "ratio": lhs / rhs if rhs else 0.0})

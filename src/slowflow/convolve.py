@@ -39,13 +39,20 @@ def fft_workers():
         return 1
 
 
+def _crop_to_box(kernel, n):
+    """The kernel and its radius, cropped to R <= n - 1: offsets beyond n - 1
+    never connect two cells of the box, so the crop is exact."""
+    R = (kernel.shape[0] - 1) // 2
+    if R > n - 1:
+        inner = slice(R - n + 1, R + n)
+        kernel, R = kernel[inner, inner, inner], n - 1
+    return kernel, R
+
+
 def convolve_offsets(samples, kernel, h):
     """h^3 * linear convolution of a field with an odd-shaped offset kernel."""
     n = samples.shape[0]
-    R = (kernel.shape[0] - 1) // 2
-    if R > n - 1:  # offsets beyond n - 1 never connect two cells of the box
-        inner = slice(R - n + 1, R + n)
-        kernel, R = kernel[inner, inner, inner], n - 1
+    kernel, R = _crop_to_box(kernel, n)
     acc = SpectralAccumulator(n, R, h)
     acc.add(acc.field_fft(samples), acc.kernel_fft(kernel))
     return acc.extract()
@@ -94,7 +101,7 @@ class SpectralAccumulator:
 def convolve_direct(samples, kernel, h):
     """Direct-sum reference convolution (small grids / small kernels only)."""
     n = samples.shape[0]
-    R = (kernel.shape[0] - 1) // 2
+    kernel, R = _crop_to_box(kernel, n)
     out = np.zeros_like(samples)
     for di, dj, dk in product(range(-R, R + 1), repeat=3):
         w = kernel[di + R, dj + R, dk + R]

@@ -3,6 +3,10 @@
 The computational domain is the cube [-L, L]^3 sampled at n cell centers per
 axis (midpoint quadrature, weight h^3 per cell).  All fields are expected to
 decay well inside the box; boundary stencils are one-sided and see ~zero data.
+
+Stencils on different axes commute exactly (each acts on one tensor factor of
+the grid, boundary rows included), so each mixed second derivative is built
+once and J2 counts it twice, for the ordered pairs (a, b) and (b, a).
 """
 
 from dataclasses import dataclass, field
@@ -159,25 +163,17 @@ def integrate(U, V):
 
 
 def _derive_array(a, axis, order, h):
-    n = a.shape[axis]
-    out = np.empty_like(a)
-
-    def sl(i):
-        s = [slice(None)] * 3
-        s[axis] = i
-        return tuple(s)
-
+    a = np.moveaxis(a, axis, 0)
+    out = np.empty_like(a)  # same memory order as a, so the result keeps a's layout
     if order == 1:
-        out[sl(slice(1, n - 1))] = (a[sl(slice(2, n))] - a[sl(slice(0, n - 2))]) / (2 * h)
-        out[sl(0)] = (-3 * a[sl(0)] + 4 * a[sl(1)] - a[sl(2)]) / (2 * h)
-        out[sl(n - 1)] = (3 * a[sl(n - 1)] - 4 * a[sl(n - 2)] + a[sl(n - 3)]) / (2 * h)
+        out[1:-1] = (a[2:] - a[:-2]) / (2 * h)
+        out[0] = (-3 * a[0] + 4 * a[1] - a[2]) / (2 * h)
+        out[-1] = (3 * a[-1] - 4 * a[-2] + a[-3]) / (2 * h)
     else:
-        out[sl(slice(1, n - 1))] = (
-            a[sl(slice(2, n))] - 2 * a[sl(slice(1, n - 1))] + a[sl(slice(0, n - 2))]
-        ) / h ** 2
-        out[sl(0)] = (2 * a[sl(0)] - 5 * a[sl(1)] + 4 * a[sl(2)] - a[sl(3)]) / h ** 2
-        out[sl(n - 1)] = (2 * a[sl(n - 1)] - 5 * a[sl(n - 2)] + 4 * a[sl(n - 3)] - a[sl(n - 4)]) / h ** 2
-    return out
+        out[1:-1] = (a[2:] - 2 * a[1:-1] + a[:-2]) / h ** 2
+        out[0] = (2 * a[0] - 5 * a[1] + 4 * a[2] - a[3]) / h ** 2
+        out[-1] = (2 * a[-1] - 5 * a[-2] + 4 * a[-3] - a[-4]) / h ** 2
+    return np.moveaxis(out, 0, axis)
 
 
 def derive(U, axis, order=1):
@@ -205,30 +201,29 @@ def sup_norm(u):
     return float(np.sqrt(u.speed_squared().max()))
 
 
-def _gradient_arrays(c, h):
-    return [_derive_array(c.samples, ax, 1, h) for ax in range(3)]
+def _derivatives(a, h, m):
+    """Yield (order, ordered pairs, array) once per distinct derivative of
+    order <= m of one component: 3 first, then 3 pure second and 3 mixed ones
+    (a first derivative differenced again, standing for 2 ordered pairs).
+    Between yields it keeps only the 3 first derivatives.
+    """
+    firsts = [_derive_array(a, ax, 1, h) for ax in range(3)]
+    for g in firsts:
+        yield 1, 1, g
+    if m == 2:
+        for ax in range(3):
+            yield 2, 1, _derive_array(a, ax, 2, h)
+        for ax, bx in ((0, 1), (0, 2), (1, 2)):
+            yield 2, 2, _derive_array(firsts[ax], bx, 1, h)
 
 
 def seminorm_jm(u, m):
     """L^2 seminorm over all ordered m-th derivative combinations of all components."""
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
-    h = u.grid.h
-    vol = u.grid.cell_volume
-    total = 0.0
-    for c in u.components:
-        if m == 1:
-            for g in _gradient_arrays(c, h):
-                total += np.sum(g ** 2)
-        else:
-            for a in range(3):
-                for b in range(3):
-                    if a == b:
-                        d2 = _derive_array(c.samples, a, 2, h)
-                    else:
-                        d2 = _derive_array(_derive_array(c.samples, a, 1, h), b, 1, h)
-                    total += np.sum(d2 ** 2)
-    return float(np.sqrt(total * vol))
+    total = sum(pairs * np.sum(d ** 2) for c in u.components
+                for order, pairs, d in _derivatives(c.samples, u.grid.h, m) if order == m)
+    return float(np.sqrt(total * u.grid.cell_volume))
 
 
 def flow_energy(u):
@@ -240,21 +235,8 @@ def sup_derivative(u, m=1):
     """D_m: max over components and m-th derivative combinations of the sup norm."""
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
-    h = u.grid.h
-    best = 0.0
-    for c in u.components:
-        if m == 1:
-            for g in _gradient_arrays(c, h):
-                best = max(best, float(np.abs(g).max()))
-        else:
-            for a in range(3):
-                for b in range(3):
-                    if a == b:
-                        d2 = _derive_array(c.samples, a, 2, h)
-                    else:
-                        d2 = _derive_array(_derive_array(c.samples, a, 1, h), b, 1, h)
-                    best = max(best, float(np.abs(d2).max()))
-    return best
+    return max(float(np.abs(d).max()) for c in u.components
+               for order, _, d in _derivatives(c.samples, u.grid.h, m) if order == m)
 
 
 @dataclass(frozen=True)
@@ -270,11 +252,12 @@ class DiagnosticsSample:
 
 
 def sample_diagnostics(u, t):
-    return DiagnosticsSample(
-        t=float(t),
-        W=flow_energy(u),
-        J1=seminorm_jm(u, 1),
-        J2=seminorm_jm(u, 2),
-        V=sup_norm(u),
-        D1=sup_derivative(u, 1),
-    )
+    """W, J1, J2, V and D1 of one state from a single derivative pass."""
+    sq, D1 = [0.0, 0.0, 0.0], 0.0  # sq[m]: sum of squared m-th derivatives
+    for c in u.components:
+        for order, pairs, d in _derivatives(c.samples, u.grid.h, 2):
+            sq[order] += pairs * np.sum(d ** 2)
+            if order == 1:
+                D1 = max(D1, float(np.abs(d).max()))
+    J1, J2 = (float(np.sqrt(s * u.grid.cell_volume)) for s in sq[1:])
+    return DiagnosticsSample(float(t), flow_energy(u), J1, J2, sup_norm(u), D1)

@@ -273,26 +273,29 @@ def forced_response(X, params, t, assume_solenoidal=False):
     # trapezoid weights of the (non-uniform) tau nodes
     ends = np.concatenate(([taus[0]], taus, [taus[-1]]))
     weights = 0.5 * (ends[2:] - ends[:-2])
-    for tau, w in zip(taus, weights):
+    for k, (tau, w) in enumerate(zip(taus, weights)):
         Xf = X.at(t - tau)
         K, rk = heat_kernel_on_grid(grid, nu * tau)
         KF = acc[0].kernel_fft(np.pad(K, R_heat - rk))
         for i in range(3):
             acc[i].add(acc[0].field_fft(Xf.components[i].samples), KF, w)
+        div = None
         if acc_div is not None:
             div = divergence(Xf).samples
             PF = acc_div.kernel_fft(_erf_potential_kernel(grid, nu * tau, grid.n - 1))
             acc_div.add(acc_div.field_fft(div), PF, w)
+        if k == 0:  # the below-floor sliver reuses the tau_0 sample
+            X_t0, div_t0 = Xf, div
 
     out = [a.extract() for a in acc]
 
     # below-floor sliver: identity action plus the Newtonian-potential gradient
     tau0 = taus[0]
-    X_t, X_t0 = X.at(t), X.at(t - tau0)
+    X_t = X.at(t)
     for i in range(3):
         out[i] += 0.5 * tau0 * (X_t.components[i].samples + X_t0.components[i].samples)
     if acc_div is not None:
-        div_mid = 0.5 * (divergence(X_t).samples + divergence(X_t0).samples)
+        div_mid = 0.5 * (divergence(X_t).samples + div_t0)
         acc_div.add(acc_div.field_fft(div_mid), acc_div.kernel_fft(newton_kernel(grid)), 0.5 * tau0)
         pot_field = ScalarField(grid, acc_div.extract())
         for i in range(3):

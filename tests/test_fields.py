@@ -3,7 +3,8 @@ import pytest
 
 from slowflow import (ScalarField, VectorField3, derive, divergence,
                       flow_energy, integrate, make_grid, sample_diagnostics,
-                      seminorm_jm, sup_norm)
+                      seminorm_jm, sup_derivative, sup_norm)
+from slowflow import fields
 from slowflow.fieldgen import gaussian_bump, solenoidal_gaussian
 
 PI32 = np.pi ** 1.5  # oracle: (int e^{-r^2} dr)^3 = pi^{3/2}
@@ -204,3 +205,77 @@ class TestDiagnostics:
         b = ScalarField.zeros(make_grid(16, 8.0))
         with pytest.raises(ValueError, match="share"):
             VectorField3(a, a, b)
+
+
+def _brute_force_derivatives(u, m):
+    """All ordered m-th derivatives of all components, each built from scratch."""
+    out = []
+    for c in u.components:
+        for a in (1, 2, 3):
+            if m == 1:
+                out.append(derive(c, a).samples)
+                continue
+            for b in (1, 2, 3):
+                out.append(derive(c, a, order=2).samples if a == b
+                           else derive(derive(c, a), b).samples)
+    return out
+
+
+def _gaussian_x(n):
+    """u = (e^{-r^2/2}, 0, 0) on [-8, 8]^3."""
+    g = make_grid(n, 8.0)
+    zero = lambda x, y, z: 0 * x
+    return VectorField3.from_functions(g, lambda x, y, z: np.exp(-(x * x + y * y + z * z) / 2),
+                                       zero, zero)
+
+
+class TestDerivativePass:
+    def test_matches_brute_force_oracle(self, rng):
+        g = make_grid(24, 3.0)
+        u = VectorField3.from_arrays(g, *(rng.standard_normal((24,) * 3) for _ in range(3)))
+        vol = g.cell_volume
+        J = {m: np.sqrt(sum(np.sum(d ** 2) for d in _brute_force_derivatives(u, m)) * vol)
+             for m in (1, 2)}
+        D = {m: max(np.abs(d).max() for d in _brute_force_derivatives(u, m)) for m in (1, 2)}
+        s = sample_diagnostics(u, 0.25)
+        assert s.W == pytest.approx(sum(np.sum(c.samples ** 2) for c in u.components) * vol,
+                                    rel=1e-13)
+        assert s.V == pytest.approx(np.sqrt(u.speed_squared().max()), rel=1e-13)
+        assert s.J1 == pytest.approx(J[1], rel=1e-13)
+        assert s.J2 == pytest.approx(J[2], rel=1e-13)
+        assert s.D1 == pytest.approx(D[1], rel=1e-13)
+        for m in (1, 2):
+            assert seminorm_jm(u, m) == pytest.approx(J[m], rel=1e-13)
+            assert sup_derivative(u, m) == pytest.approx(D[m], rel=1e-13)
+
+    def test_j2_matches_closed_form_at_h2_rate(self):
+        # sum_ab int (d_a d_b f)^2 = int (lap f)^2 = (15/4) pi^{3/2} for
+        # f = e^{-r^2/2}; counting each mixed derivative once reads ~10% low
+        exact = np.sqrt(15.0 / 4.0 * PI32)
+        errs = [abs(sample_diagnostics(_gaussian_x(n), 0.0).J2 / exact - 1) for n in (64, 96)]
+        assert errs[1] < 0.02
+        assert errs[0] / errs[1] > 2.0
+
+    def test_d1_matches_closed_form(self):
+        u = _gaussian_x(96)
+        X1, X2, X3 = u.grid.meshgrid()
+        e = np.exp(-(X1 ** 2 + X2 ** 2 + X3 ** 2) / 2)
+        exact = max(np.abs(X * e).max() for X in (X1, X2, X3))  # |d_i e^{-r^2/2}|
+        assert sample_diagnostics(u, 0.0).D1 == pytest.approx(exact, rel=0.015)
+
+    def test_each_distinct_derivative_is_built_once(self, monkeypatch, grid32):
+        u = solenoidal_gaussian(grid32, width=1.0)
+        calls = []
+        derive_array = fields._derive_array
+
+        def counting(a, axis, order, h):
+            calls.append(order)
+            return derive_array(a, axis, order, h)
+
+        monkeypatch.setattr(fields, "_derive_array", counting)
+        sample_diagnostics(u, 0.0)
+        assert len(calls) == 27  # per component: 3 first, 3 pure, 3 mixed
+        for fn in (seminorm_jm, sup_derivative):
+            calls.clear()
+            fn(u, 1)
+            assert calls == [1] * 9
