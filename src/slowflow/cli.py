@@ -302,18 +302,6 @@ def run_experiment(cfg, out_dir):
     return (0 if ok else 1), reports
 
 
-def field_io(path, mode, field=None):
-    """Read or write one LERF field file (bit-exact round-trip)."""
-    if mode == "read":
-        return lerf.read_field(path)
-    if mode == "write":
-        if field is None:
-            raise ValueError("field required for write")
-        lerf.write_field(path, field)
-        return None
-    raise ValueError("mode must be 'read' or 'write'")
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="slowflow",
@@ -337,14 +325,13 @@ def main(argv=None):
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
-    if args.grid_n is not None or args.grid_L is not None:
-        raw.setdefault("grid", {})
-        if args.grid_n is not None:
-            raw["grid"]["n"] = args.grid_n
-        if args.grid_L is not None:
-            raw["grid"]["L"] = args.grid_L
-    if args.check:
-        raw["checks"] = list(args.check)
+    overrides = {k: v for k, v in (("n", args.grid_n), ("L", args.grid_L)) if v is not None}
+    # only a well-shaped config takes overrides; ExperimentConfig rejects the rest
+    if isinstance(raw, dict):
+        if overrides and isinstance(raw.setdefault("grid", {}), dict):
+            raw["grid"].update(overrides)
+        if args.check:
+            raw["checks"] = list(args.check)
 
     try:
         cfg = ExperimentConfig(raw, args.command)

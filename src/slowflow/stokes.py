@@ -8,9 +8,11 @@ fundamental tensor
     G(r, tau)    = exp(-r^2 / (4 nu tau)) / (4 pi nu tau)^{3/2},
     Phi(r, tau)  = erf(r / (2 sqrt(nu tau))) / (4 pi r),
 
-and the pressure by the Newtonian potential of the forcing divergence.
-T integrates to delta_ij over space for every tau and acts as the identity on
-solenoidal fields as tau -> 0.
+and the pressure by the Newtonian potential of the forcing.  Phi = N * G is
+the Newtonian potential of the heat kernel (N = 1/(4 pi r)), so
+T * X = G * (P X) with P X = X + grad(N * div X) the Leray projection.  P
+commutes with G, so the Duhamel integral is P applied once to a heat-only
+sum; T itself is evaluated pointwise only by ``oseen_tensor_eval``.
 """
 
 from dataclasses import dataclass
@@ -20,8 +22,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erf
 
-from .convolve import SpectralAccumulator, _gauss_legendre, newton_kernel
-from .fields import ScalarField, VectorField3, derive, divergence, seminorm_jm
+from .convolve import SpectralAccumulator, newton_kernel
+from .fields import ScalarField, VectorField3, _derivatives, derive, divergence
 from .report import make_report
 
 __all__ = [
@@ -213,51 +215,15 @@ def _duhamel_taus(t, h, nu):
     return np.geomspace(tau_min, t, m)
 
 
-def _erf_potential_kernel(grid, nu_tau, R):
-    """Offset kernel Phi(r, tau) = erf(r/(2 sqrt(nu tau)))/(4 pi r).
-
-    Smooth for tau > 0 (Phi(0) = 1/(2 pi^{3/2} a)); when the inner scale
-    a = 2 sqrt(nu tau) is under-resolved, the 5^3 cells nearest the origin are
-    replaced by Gauss-Legendre (m = 8) cell averages so the kernel's action on
-    smooth fields stays second-order accurate.
-    """
-    a = 2.0 * np.sqrt(nu_tau)
-    h = grid.h
-    # Phi is radial: evaluate it once per integer |offset|^2 and gather
-    m2 = np.arange(3 * R * R + 1, dtype=np.float64)
-    m2[0] = 1.0
-    r = h * np.sqrt(m2)
-    phi = erf(r / a) / (4.0 * np.pi * r)
-    phi[0] = 1.0 / (2.0 * SQRT_PI ** 3 * a)
-    k2 = np.arange(-R, R + 1) ** 2
-    K = phi[k2[:, None, None] + k2[None, :, None] + k2[None, None, :]]
-    if a < 2.0 * h:
-        xg, wg = _gauss_legendre(8)
-        # unit-h node coordinates per (cell, node) for the cells at offsets
-        # 0, 1, 2 (the symmetric rule mirrors them onto -1, -2); the even rule
-        # has no node at a cell center, so r > 0 at every node
-        pts = np.arange(3.0)[:, None] + 0.5 * xg
-        x = pts[:, None, None, :, None, None]
-        y = pts[None, :, None, None, :, None]
-        z = pts[None, None, :, None, None, :]
-        rn = np.sqrt(x * x + y * y + z * z)
-        vals = erf(rn * (h / a)) / (4.0 * np.pi * rn * h)
-        W = wg[:, None, None] * wg[None, :, None] * wg[None, None, :]
-        block = np.einsum("ijkabc,abc->ijk", vals, W) / 8.0
-        mirror = [2, 1, 0, 1, 2]
-        K[R - 2:R + 3, R - 2:R + 3, R - 2:R + 3] = block[np.ix_(mirror, mirror, mirror)]
-    return K
-
-
 def forced_response(X, params, t, assume_solenoidal=False):
     """Duhamel superposition of propagated forcing snapshots up to time t.
 
-    The tensor action splits as T*X = G*X + grad(Phi * div X): the Gaussian
-    part convolves each component, the gradient part responds only to the
-    discrete divergence of the forcing (and is skipped entirely under
-    ``assume_solenoidal``).  Time-lag nodes are geometric from t down to the
-    floor h^2/(32 nu); below the floor the tensor acts as the identity plus
-    the Newtonian-potential gradient.
+    T*X = G*(P X), where P X = X + grad(N * div X) is the Leray projection
+    and N = 1/(4 pi r); P commutes with the heat kernel, so the node loop
+    sums only the heat part H = sum_k w_k G(tau_k) * X(t - tau_k) and P is
+    applied once to H (skipped under ``assume_solenoidal``).  Time-lag nodes
+    are geometric from t down to the floor h^2/(32 nu); below the floor the
+    heat kernel acts as the identity.
     """
     if X is None:
         raise ValueError("empty forcing")
@@ -268,7 +234,6 @@ def forced_response(X, params, t, assume_solenoidal=False):
     taus = _duhamel_taus(t, grid.h, nu)
     R_heat = _heat_radius(grid, nu * taus[-1])
     acc = [SpectralAccumulator(grid.n, R_heat, grid.h) for _ in range(3)]
-    acc_div = SpectralAccumulator(grid.n, grid.n - 1, grid.h) if not assume_solenoidal else None
 
     # trapezoid weights of the (non-uniform) tau nodes
     ends = np.concatenate(([taus[0]], taus, [taus[-1]]))
@@ -279,28 +244,20 @@ def forced_response(X, params, t, assume_solenoidal=False):
         KF = acc[0].kernel_fft(np.pad(K, R_heat - rk))
         for i in range(3):
             acc[i].add(acc[0].field_fft(Xf.components[i].samples), KF, w)
-        div = None
-        if acc_div is not None:
-            div = divergence(Xf).samples
-            PF = acc_div.kernel_fft(_erf_potential_kernel(grid, nu * tau, grid.n - 1))
-            acc_div.add(acc_div.field_fft(div), PF, w)
         if k == 0:  # the below-floor sliver reuses the tau_0 sample
-            X_t0, div_t0 = Xf, div
+            X_t0 = Xf
 
-    out = [a.extract() for a in acc]
-
-    # below-floor sliver: identity action plus the Newtonian-potential gradient
-    tau0 = taus[0]
+    # below-floor sliver: identity action
     X_t = X.at(t)
-    for i in range(3):
-        out[i] += 0.5 * tau0 * (X_t.components[i].samples + X_t0.components[i].samples)
-    if acc_div is not None:
-        div_mid = 0.5 * (divergence(X_t).samples + div_t0)
-        acc_div.add(acc_div.field_fft(div_mid), acc_div.kernel_fft(newton_kernel(grid)), 0.5 * tau0)
-        pot_field = ScalarField(grid, acc_div.extract())
-        for i in range(3):
-            out[i] += derive(pot_field, i + 1).samples
-    return VectorField3.from_arrays(grid, *out)
+    H = VectorField3.from_arrays(grid, *(
+        a.extract() + 0.5 * taus[0] * (x.samples + y.samples)
+        for a, x, y in zip(acc, X_t.components, X_t0.components)))
+    if assume_solenoidal:
+        return H
+    newton = SpectralAccumulator(grid.n, grid.n - 1, grid.h)
+    newton.add(newton.field_fft(divergence(H).samples), newton.kernel_fft(newton_kernel(grid)))
+    pot = ScalarField(grid, newton.extract())
+    return H + VectorField3(*(derive(pot, ax) for ax in (1, 2, 3)))
 
 
 def pressure_field(X_t, params):
@@ -315,6 +272,18 @@ def pressure_field(X_t, params):
     return ScalarField(grid, -params.rho * total)
 
 
+def _check_solenoidal(u0, div_rtol):
+    """Reject u0 whose divergence L2 norm exceeds div_rtol times its gradient
+    seminorm J1; one pass of the 9 first derivatives feeds both."""
+    grid = u0.grid
+    grads = [[d for _, _, d in _derivatives(c.samples, grid.h, 1)] for c in u0.components]
+    j1 = float(np.sqrt(sum(np.sum(d ** 2) for g in grads for d in g) * grid.cell_volume))
+    if j1 > 0:
+        div = grads[0][0] + grads[1][1] + grads[2][2]
+        if np.sqrt(np.sum(div ** 2) * grid.cell_volume) > div_rtol * j1:
+            raise ValueError("u0 is not solenoidal within tolerance")
+
+
 def solve_linearized(u0, X, params, times, div_rtol=0.2, assume_solenoidal=False):
     """Superpose the diffusive and forced responses at each requested time.
 
@@ -324,13 +293,8 @@ def solve_linearized(u0, X, params, times, div_rtol=0.2, assume_solenoidal=False
     times = [float(t) for t in times]
     if any(t < 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("times must be strictly increasing and >= 0")
+    _check_solenoidal(u0, div_rtol)
     grid = u0.grid
-    j1 = seminorm_jm(u0, 1)
-    if j1 > 0:
-        div = divergence(u0)
-        div_l2 = np.sqrt(np.sum(div.samples ** 2) * grid.cell_volume)
-        if div_l2 > div_rtol * j1:
-            raise ValueError("u0 is not solenoidal within tolerance")
     u0_is_zero = all(not c.samples.any() for c in u0.components)
     states = []
     for t in times:

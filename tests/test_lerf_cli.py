@@ -232,25 +232,15 @@ class TestCliMain:
         assert (out / "manifest.json").exists()
 
 
-class TestFieldIo:
-    def test_write_read_roundtrip(self, tmp_path, rng):
-        from slowflow.cli import field_io
-        g = make_grid(16, 4.0)
-        f = ScalarField(g, rng.standard_normal((16,) * 3))
-        path = tmp_path / "io.lerf"
-        assert field_io(str(path), "write", f) is None
-        back = field_io(str(path), "read")
-        assert np.array_equal(back.samples, f.samples)
-
-    def test_bad_mode(self, tmp_path):
-        from slowflow.cli import field_io
-        with pytest.raises(ValueError, match="mode"):
-            field_io(str(tmp_path / "x"), "append")
-
-    def test_write_requires_field(self, tmp_path):
-        from slowflow.cli import field_io
-        with pytest.raises(ValueError, match="field"):
-            field_io(str(tmp_path / "x"), "write")
+@pytest.mark.parametrize("raw", [{"grid": [1, 2]}, [1, 2]], ids=["grid-array", "top-level-array"])
+@pytest.mark.parametrize("flag", [["--grid-n", "16"], ["--grid-L", "8.0"], ["--check", "schwarz"]],
+                         ids=["grid-n", "grid-L", "check"])
+def test_override_on_malformed_config_is_a_config_error(tmp_path, capsys, raw, flag):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o"), *flag])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_grid_L_override(tmp_path):

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from slowflow import (ScalarField, VectorField3, derive, divergence,
+from slowflow import (ScalarField, VectorField3, derive, divergence, fields,
                       flow_energy, make_grid, seminorm_jm, sup_norm)
-from slowflow.convolve import (convolve_direct, convolve_offsets,
-                               gauss_legendre_cell_average, newton_kernel)
+from slowflow.convolve import (SpectralAccumulator, convolve_direct,
+                               convolve_offsets, newton_kernel)
 from slowflow.fieldgen import (gradient_pulse_forcing, ramped_forcing,
                                solenoidal_gaussian,
                                solenoidal_gaussian_laplacian,
                                solenoidal_pulse_forcing)
 from slowflow.stokes import (FlowState, FluidParams, ForcingField,
-                             _erf_potential_kernel, _phi_from_quadrature,
+                             _phi_from_quadrature,
                              forced_response, heat_kernel_on_grid, heat_propagate,
                              oseen_decay_constant, oseen_tensor_eval,
                              pressure_field, residual_check, solve_linearized)
@@ -135,20 +135,6 @@ class TestOseenTensor:
             closed = erf(r / (2 * np.sqrt(nu_tau))) / (4 * np.pi * r)
             assert _phi_from_quadrature(r, nu_tau) == pytest.approx(closed, rel=1e-12)
 
-    def test_erf_near_block_matches_per_cell_averages(self):
-        g = make_grid(24, 4.5)
-        nu_tau = 1e-3  # a = 2 sqrt(nu tau) < 2h: the near block is replaced
-        a, h, c = 2.0 * np.sqrt(nu_tau), g.h, g.n - 1
-        K = _erf_potential_kernel(g, nu_tau, g.n - 1)
-
-        def fn(x, y, z):
-            r = np.sqrt(x * x + y * y + z * z)
-            return erf(r * (h / a)) / (4.0 * np.pi * r * h)
-
-        for i, j, k in np.ndindex(5, 5, 5):
-            ref = gauss_legendre_cell_average(fn, np.array([i - 2, j - 2, k - 2], float), m=8)
-            assert K[c + i - 2, c + j - 2, c + k - 2] == pytest.approx(ref, rel=1e-14, abs=0)
-
     def test_tensor_matches_hessian_of_quadrature_potential(self):
         # independent oracle: numerical Hessian of the quadrature-evaluated
         # potential plus the Gaussian bulk term
@@ -248,10 +234,36 @@ class TestForcedResponse:
         shape = solenoidal_gaussian(g, width=0.9)
         lap = solenoidal_gaussian_laplacian(g, width=0.9)
         F = ramped_forcing(g, shape, lap, nu, 0.4)
-        u = forced_response(F, par, 0.4, assume_solenoidal=True)
-        err = max(np.abs(a.samples - b.samples).max()
-                  for a, b in zip(u.components, shape.components))
-        assert err / sup_norm(shape) < 0.02
+        for assume_solenoidal in (True, False):
+            u = forced_response(F, par, 0.4, assume_solenoidal=assume_solenoidal)
+            err = max(np.abs(a.samples - b.samples).max()
+                      for a, b in zip(u.components, shape.components))
+            assert err / sup_norm(shape) < 0.02
+
+    def test_gradient_pulse_projected_out_at_h2_rate(self):
+        # the exact response to an irrotational forcing is 0: what is left is
+        # the O(h^2) error of the discrete Leray projection
+        par = FluidParams(0.25, 1.0)
+        res = []
+        for n in (24, 48):
+            F = gradient_pulse_forcing(make_grid(n, 4.0), width=1.0, t_scale=0.5)
+            res.append(sup_norm(forced_response(F, par, 0.15)) / sup_norm(F.at(0.0)))
+        assert res[0] < 0.02
+        assert res[0] / res[1] > 3.0
+
+    def test_one_kernel_transform_per_node_plus_one_projection(self, monkeypatch):
+        calls = []
+        kernel_fft = SpectralAccumulator.kernel_fft
+
+        def counting(self, kernel):
+            calls.append(kernel.shape)
+            return kernel_fft(self, kernel)
+
+        monkeypatch.setattr(SpectralAccumulator, "kernel_fft", counting)
+        g = make_grid(24, 4.0)  # the forced_duhamel benchmark settings: 14 nodes
+        F = gradient_pulse_forcing(g, width=1.0, t_scale=0.5)
+        forced_response(F, FluidParams(0.25, 1.0), 0.15)
+        assert len(calls) == 14 + 1
 
 
 class TestPressure:
@@ -305,6 +317,19 @@ class TestPressure:
 
 
 class TestSolveLinearized:
+    def test_initial_data_check_builds_each_first_derivative_once(self, monkeypatch, grid32):
+        u0 = solenoidal_gaussian(grid32, width=1.0)
+        calls = []
+        derive_array = fields._derive_array
+
+        def counting(a, axis, order, h):
+            calls.append(order)
+            return derive_array(a, axis, order, h)
+
+        monkeypatch.setattr(fields, "_derive_array", counting)
+        solve_linearized(u0, None, PAR, [0.0, 0.5])
+        assert calls == [1] * 9  # J1 and the divergence share one pass
+
     def test_reduces_to_heat_without_forcing(self, grid32):
         u0 = solenoidal_gaussian(grid32, width=1.0)
         states = solve_linearized(u0, None, PAR, [0.0, 0.5])
