@@ -85,20 +85,24 @@ class ExperimentConfig:
         tm = _section(raw, "times", ("start", "end", "count"))
         self.t_start = float(tm.get("start", 0.0))
         self.t_end = float(tm.get("end", 1.0))
-        self.t_count = int(tm.get("count", 10))
+        self.t_count = tm.get("count", 10)
         _require(self.t_start >= 0.0, "times.start must be >= 0")
         _require(self.t_end > self.t_start, "times.end must exceed times.start")
-        _require(self.t_count >= 1, "times.count must be >= 1")
+        _require(type(self.t_count) is int and self.t_count >= 1,  # not bool, not 3.9
+                 "times.count must be an integer >= 1")
 
         eps = raw.get("epsilons", [1.0, 0.5, 0.25])
-        _require(isinstance(eps, list) and all(isinstance(e, (int, float)) and e > 0 for e in eps),
+        _require(isinstance(eps, list) and all(type(e) in (int, float) and e > 0 for e in eps),
                  "epsilons must be a list of positive numbers")
         self.epsilons = [float(e) for e in eps]
         self.field_width = float(raw.get("field_width", 1.0))
 
         grids = raw.get("grids", [16, 24, 32])
         _require(isinstance(grids, list) and len(grids) >= 2, "grids must list >= 2 sizes")
-        self.grids = grids
+        try:
+            self.grids = [make_grid(n, self.grid.L) for n in grids]
+        except ValueError as e:
+            raise ConfigError(f"grids: {e} (got {grids})") from e
         self.study = raw.get("study", "representation")
         _require(self.study in ("representation", "quasi_derivative", "energy_balance"),
                  f"study: unknown study '{self.study}'")
@@ -252,11 +256,7 @@ def _mollify_study(cfg, out_dir):
 def _convergence_study(cfg, out_dir):
     reports = []
     values = []
-    for n in cfg.grids:
-        try:
-            grid = make_grid(int(n), cfg.grid.L)
-        except ValueError as e:
-            raise ConfigError(f"grids: {e}") from e
+    for grid in cfg.grids:
         if cfg.study == "representation":
             probe = fieldgen.gaussian_bump(grid, width=min(1.0, grid.L / 6.0))
             _, rep = analysis.representation_reconstruct(probe)
@@ -279,7 +279,7 @@ def _convergence_study(cfg, out_dir):
             values.append(rep.lhs)
     worst_ratio = max(b / a for a, b in zip(values, values[1:])) if len(values) > 1 else 0.0
     reports.append(make_report(f"{cfg.study}-refinement-decrease", worst_ratio, 1.0, 0.0,
-                               {"grids": cfg.grids, "values": values}))
+                               {"grids": [g.n for g in cfg.grids], "values": values}))
     return reports
 
 

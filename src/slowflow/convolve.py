@@ -81,10 +81,8 @@ class SpectralAccumulator:
             raise ValueError("kernel radius does not match accumulator")
         return sfft.rfftn(kernel, s=(self.P,) * 3, workers=fft_workers())
 
-    def add(self, field_fft, kernel_fft, weight=1.0):
+    def add(self, field_fft, kernel_fft):
         term = field_fft * kernel_fft
-        if weight != 1.0:
-            term *= weight
         if self._acc is None:
             self._acc = term
         else:
@@ -217,9 +215,8 @@ def inverse_square_weights(grid, near=3):
 
 def newton_kernel(grid, near=3):
     """Offset kernel for the Newtonian potential 1/(4 pi r), full lattice."""
-    off = grid.offsets()
-    OX, OY, OZ = np.meshgrid(off, off, off, indexing="ij")
-    R2 = OX ** 2 + OY ** 2 + OZ ** 2
+    o2 = grid.offsets() ** 2
+    R2 = o2[:, None, None] + o2[None, :, None] + o2[None, None, :]
     c = grid.n - 1
     R2[c, c, c] = 1.0
     K = 1.0 / (4.0 * np.pi * np.sqrt(R2))
@@ -235,16 +232,16 @@ def dipole_kernels(grid, near=3):
     averages there); near cells use exact averages, the singular cell is 0.
     """
     off = grid.offsets()
-    OX, OY, OZ = np.meshgrid(off, off, off, indexing="ij")
-    R2 = OX ** 2 + OY ** 2 + OZ ** 2
+    o2 = off ** 2
+    R2 = o2[:, None, None] + o2[None, :, None] + o2[None, None, :]
     c = grid.n - 1
     R2[c, c, c] = 1.0
     denom = 4.0 * np.pi * R2 ** 1.5
     near_block = _dipole_cell_averages(near) / (grid.h * grid.h)
     sl = slice(c - near, c + near + 1)
     kernels = []
-    for comp, O in enumerate((OX, OY, OZ)):
-        K = O / denom
+    for comp in range(3):
+        K = off.reshape([-1 if ax == comp else 1 for ax in range(3)]) / denom
         K[sl, sl, sl] = np.moveaxis(near_block, 0, comp)
         kernels.append(K)
     return kernels

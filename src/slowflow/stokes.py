@@ -12,7 +12,9 @@ and the pressure by the Newtonian potential of the forcing.  Phi = N * G is
 the Newtonian potential of the heat kernel (N = 1/(4 pi r)), so
 T * X = G * (P X) with P X = X + grad(N * div X) the Leray projection.  P
 commutes with G, so the Duhamel integral is P applied once to a heat-only
-sum; T itself is evaluated pointwise only by ``oseen_tensor_eval``.
+sum; T itself is evaluated pointwise only by ``oseen_tensor_eval``.  The heat
+step and every Duhamel node apply G through one separable operator,
+``_heat_apply``: no 3D transform runs per node.
 """
 
 from dataclasses import dataclass
@@ -90,15 +92,11 @@ class ForcingField:
         return X
 
 
-def _heat_radius(grid, nu_t):
-    """Offset radius of the heat kernel: 8 widths sqrt(2 nu t), clipped to [1, n-1]."""
-    return max(1, min(grid.n - 1, int(np.ceil(8.0 * np.sqrt(2.0 * nu_t) / grid.h)) + 1))
-
-
 def _heat_factor(grid, nu_t, normalized=True):
     """1D factor k and radius R of the truncated heat kernel K = k(x) k(y) k(z),
-    up to the 1/h^3 of the unit-mass kernel when ``normalized``."""
-    R = _heat_radius(grid, nu_t)
+    up to the 1/h^3 of the unit-mass kernel when ``normalized``.  R spans 8
+    widths sqrt(2 nu t), clipped to [1, n-1]."""
+    R = max(1, min(grid.n - 1, int(np.ceil(8.0 * np.sqrt(2.0 * nu_t) / grid.h)) + 1))
     off = grid.offsets(R)
     p = np.exp(-off * off / (4.0 * nu_t))
     return (p / p.sum() if normalized else p / np.sqrt(4.0 * np.pi * nu_t)), R
@@ -116,15 +114,21 @@ def heat_kernel_on_grid(grid, nu_t, normalized=True):
     return (K / grid.cell_volume if normalized else K), R
 
 
-def heat_propagate(u0, params, t):
-    """Evolve u0 for time t under pure diffusion (componentwise convolution).
+def _heat_apply(arrays, grid, nu_t):
+    """The unit-mass kernel k(x) k(y) k(z) / h^3 of ``_heat_factor`` applied to
+    each array: k along each axis as an n x n banded Toeplitz matrix product."""
+    k, R = _heat_factor(grid, nu_t)
+    lag = np.subtract.outer(np.arange(grid.n), np.arange(grid.n))
+    T = np.where(np.abs(lag) <= R, k[np.clip(lag + R, 0, 2 * R)], 0.0)
+    out = list(arrays)
+    for ax in (2, 1, 0):  # ending on axis 0 leaves C-ordered arrays
+        out = [np.moveaxis(np.tensordot(T, a, axes=(1, ax)), 0, ax) for a in out]
+    return out
 
-    The truncated kernel lives on a cube of offsets, so it is exactly
-    separable: the unit-mass kernel of ``heat_kernel_on_grid`` is
-    k(x) k(y) k(z) / h^3 with k = profile / profile.sum().  Each component is
-    convolved with k along each axis through an n x n banded Toeplitz matrix;
-    no 3D transform runs.
-    """
+
+def heat_propagate(u0, params, t):
+    """Evolve u0 for time t under pure diffusion: the kernel of
+    ``heat_kernel_on_grid``, applied by ``_heat_apply`` (no 3D transform)."""
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0:
@@ -133,13 +137,8 @@ def heat_propagate(u0, params, t):
     # resolution floor: at least one sample inside one kernel standard width
     if np.sqrt(2.0 * params.nu * t) < 0.5 * grid.h:
         raise ValueError("under-resolved: heat kernel width sqrt(2 nu t) < h/2")
-    k, R = _heat_factor(grid, params.nu * t)
-    lag = np.subtract.outer(np.arange(grid.n), np.arange(grid.n))
-    T = np.where(np.abs(lag) <= R, k[np.clip(lag + R, 0, 2 * R)], 0.0)
-    out = [c.samples for c in u0.components]
-    for ax in (2, 1, 0):  # ending on axis 0 leaves C-ordered arrays
-        out = [np.moveaxis(np.tensordot(T, a, axes=(1, ax)), 0, ax) for a in out]
-    return VectorField3.from_arrays(grid, *out)
+    return VectorField3.from_arrays(
+        grid, *_heat_apply([c.samples for c in u0.components], grid, params.nu * t))
 
 
 def _oseen_radial(x):
@@ -220,8 +219,9 @@ def forced_response(X, params, t, assume_solenoidal=False):
 
     T*X = G*(P X), where P X = X + grad(N * div X) is the Leray projection
     and N = 1/(4 pi r); P commutes with the heat kernel, so the node loop
-    sums only the heat part H = sum_k w_k G(tau_k) * X(t - tau_k) and P is
-    applied once to H (skipped under ``assume_solenoidal``).  Time-lag nodes
+    sums only the heat part H = sum_k w_k G(tau_k) * X(t - tau_k), each term by
+    ``_heat_apply`` (no 3D transform per node), and P is applied once to H by
+    one Newton convolution (skipped under ``assume_solenoidal``).  Time-lag nodes
     are geometric from t down to the floor h^2/(32 nu); below the floor the
     heat kernel acts as the identity.
     """
@@ -232,26 +232,23 @@ def forced_response(X, params, t, assume_solenoidal=False):
     grid = X.grid
     nu = params.nu
     taus = _duhamel_taus(t, grid.h, nu)
-    R_heat = _heat_radius(grid, nu * taus[-1])
-    acc = [SpectralAccumulator(grid.n, R_heat, grid.h) for _ in range(3)]
 
     # trapezoid weights of the (non-uniform) tau nodes
     ends = np.concatenate(([taus[0]], taus, [taus[-1]]))
     weights = 0.5 * (ends[2:] - ends[:-2])
+    H = [np.zeros((grid.n,) * 3) for _ in range(3)]
     for k, (tau, w) in enumerate(zip(taus, weights)):
         Xf = X.at(t - tau)
-        K, rk = heat_kernel_on_grid(grid, nu * tau)
-        KF = acc[0].kernel_fft(np.pad(K, R_heat - rk))
-        for i in range(3):
-            acc[i].add(acc[0].field_fft(Xf.components[i].samples), KF, w)
+        for acc, a in zip(H, _heat_apply([c.samples for c in Xf.components], grid, nu * tau)):
+            acc += w * a
         if k == 0:  # the below-floor sliver reuses the tau_0 sample
             X_t0 = Xf
 
     # below-floor sliver: identity action
     X_t = X.at(t)
     H = VectorField3.from_arrays(grid, *(
-        a.extract() + 0.5 * taus[0] * (x.samples + y.samples)
-        for a, x, y in zip(acc, X_t.components, X_t0.components)))
+        a + 0.5 * taus[0] * (x.samples + y.samples)
+        for a, x, y in zip(H, X_t.components, X_t0.components)))
     if assume_solenoidal:
         return H
     newton = SpectralAccumulator(grid.n, grid.n - 1, grid.h)

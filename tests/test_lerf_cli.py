@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -243,6 +244,20 @@ def test_override_on_malformed_config_is_a_config_error(tmp_path, capsys, raw, f
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,extra,field", [
+    ("solve", {"times": {"start": 0.0, "end": 0.6, "count": 3.9}}, "times.count"),
+    ("convergence-study", {"grids": [16.7, 24.2]}, "grids"),
+    ("mollify-study", {"epsilons": [True]}, "epsilons"),
+], ids=["fractional-count", "fractional-grids", "bool-epsilon"])
+def test_config_numbers_are_not_truncated_or_coerced(tmp_path, capsys, command, extra, field):
+    path = _write_config(tmp_path, extra)
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_grid_L_override(tmp_path):
     path = _write_config(tmp_path)
     out = tmp_path / "o"
@@ -263,3 +278,27 @@ def test_thread_env_var_does_not_change_results(tmp_path, monkeypatch, rng):
     np.testing.assert_array_equal(convolve_offsets(field, kernel, g.h), base)
     monkeypatch.setenv("SLOWFLOW_THREADS", "not-a-number")
     assert fft_workers() == 1
+
+
+def test_forced_solve_is_byte_identical_across_thread_counts(tmp_path):
+    # the heat step and the Duhamel node loop run on BLAS, the Newtonian
+    # convolutions on the FFT workers: neither thread count may change a byte
+    path = _write_config(tmp_path, {
+        "grid": {"n": 24, "L": 4.0},
+        "forcing": {"generator": "gradient_pulse", "params": {"width": 1.0, "t_scale": 0.5}},
+        "params": {"nu": 0.25, "rho": 1.0},
+        "times": {"start": 0.0, "end": 0.3, "count": 3},
+    })
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, SLOWFLOW_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "slowflow.cli", "solve",
+             "--config", str(path), "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outs[0].keys() == outs[1].keys() and len(outs[0]) == 3 * 4 + 2
+    for name in outs[0]:
+        assert outs[0][name] == outs[1][name], f"{name} differs between thread counts"

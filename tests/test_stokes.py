@@ -11,7 +11,7 @@ from slowflow.fieldgen import (gradient_pulse_forcing, ramped_forcing,
                                solenoidal_gaussian_laplacian,
                                solenoidal_pulse_forcing)
 from slowflow.stokes import (FlowState, FluidParams, ForcingField,
-                             _phi_from_quadrature,
+                             _duhamel_taus, _phi_from_quadrature,
                              forced_response, heat_kernel_on_grid, heat_propagate,
                              oseen_decay_constant, oseen_tensor_eval,
                              pressure_field, residual_check, solve_linearized)
@@ -251,19 +251,54 @@ class TestForcedResponse:
         assert res[0] < 0.02
         assert res[0] / res[1] > 3.0
 
-    def test_one_kernel_transform_per_node_plus_one_projection(self, monkeypatch):
-        calls = []
-        kernel_fft = SpectralAccumulator.kernel_fft
+    @staticmethod
+    def _heat_sum_by_3d_convolution(F, par, t):
+        """The Duhamel heat sum with one 3D FFT convolution per node and
+        component; returns H and the unit-mass kernel radius of each node."""
+        g = F.grid
+        taus = _duhamel_taus(t, g.h, par.nu)
+        ends = np.concatenate(([taus[0]], taus, [taus[-1]]))
+        weights = 0.5 * (ends[2:] - ends[:-2])
+        H = [0.5 * taus[0] * (a.samples + b.samples)
+             for a, b in zip(F.at(t).components, F.at(t - taus[0]).components)]
+        radii = []
+        for tau, w in zip(taus, weights):
+            K, R = heat_kernel_on_grid(g, par.nu * tau)
+            radii.append(R)
+            for acc, c in zip(H, F.at(t - tau).components):
+                acc += w * convolve_offsets(c.samples, K, g.h)
+        return H, radii
 
-        def counting(self, kernel):
-            calls.append(kernel.shape)
-            return kernel_fft(self, kernel)
+    @pytest.mark.parametrize("case", ["forced_duhamel", "clipped_radius"])
+    def test_heat_sum_matches_3d_convolution_oracle(self, case, grid16):
+        if case == "forced_duhamel":  # the benchmark's grid, viscosity and time
+            g, par, t = make_grid(24, 4.0), FluidParams(0.25, 1.0), 0.15
+        else:  # the box clips the widest node where its tail is still ~1e-3 of its peak
+            g, par, t = grid16, PAR, 2.0
+        shape = solenoidal_gaussian(g, width=0.9)
+        ramp = ramped_forcing(g, shape, solenoidal_gaussian_laplacian(g, width=0.9), par.nu, 0.4)
+        grad = gradient_pulse_forcing(g, width=1.0, t_scale=0.5)
+        F = ForcingField(g, lambda s: ramp.at(s) + grad.at(s))
+        ref, radii = self._heat_sum_by_3d_convolution(F, par, t)
+        assert (radii[-1] == g.n - 1) == (case == "clipped_radius")
+        u = forced_response(F, par, t, assume_solenoidal=True)
+        sup = max(np.abs(r).max() for r in ref)
+        for a, r in zip(u.components, ref):
+            np.testing.assert_allclose(a.samples, r, rtol=0, atol=1e-12 * sup)
 
-        monkeypatch.setattr(SpectralAccumulator, "kernel_fft", counting)
+    @pytest.mark.parametrize("assume_solenoidal,expected", [(False, 1), (True, 0)])
+    def test_only_the_projection_makes_3d_transforms(self, monkeypatch, assume_solenoidal,
+                                                     expected):
+        calls = {"kernel_fft": 0, "field_fft": 0}
+        for name in calls:
+            def counting(self, a, _name=name, _orig=getattr(SpectralAccumulator, name)):
+                calls[_name] += 1
+                return _orig(self, a)
+            monkeypatch.setattr(SpectralAccumulator, name, counting)
         g = make_grid(24, 4.0)  # the forced_duhamel benchmark settings: 14 nodes
         F = gradient_pulse_forcing(g, width=1.0, t_scale=0.5)
-        forced_response(F, FluidParams(0.25, 1.0), 0.15)
-        assert len(calls) == 14 + 1
+        forced_response(F, FluidParams(0.25, 1.0), 0.15, assume_solenoidal=assume_solenoidal)
+        assert calls == {"kernel_fft": expected, "field_fft": expected}
 
 
 class TestPressure:
