@@ -39,6 +39,13 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _number(sec, key, name, default=None):
+    """A JSON number (not a bool, string or null) at sec[key], as a float."""
+    value = sec.get(key, default)
+    _require(type(value) in (int, float), f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _section(cfg, key, allowed, required=()):
     sec = cfg.get(key, {})
     _require(isinstance(sec, dict), f"{key} must be an object")
@@ -59,15 +66,17 @@ class ExperimentConfig:
         self.command = command
 
         g = _section(raw, "grid", ("n", "L"), required=("n", "L"))
+        L = _number(g, "L", "grid.L")
         try:
-            self.grid = make_grid(g["n"], g["L"])
+            self.grid = make_grid(g["n"], L)
         except ValueError as e:
             raise ConfigError(f"grid: {e}") from e
 
         p = _section(raw, "params", ("nu", "rho"))
+        nu, rho = _number(p, "nu", "params.nu", 1.0), _number(p, "rho", "params.rho", 1.0)
         try:
-            self.params = FluidParams(float(p.get("nu", 1.0)), float(p.get("rho", 1.0)))
-        except (TypeError, ValueError) as e:
+            self.params = FluidParams(nu, rho)
+        except ValueError as e:
             raise ConfigError(f"params: {e}") from e
 
         ic = _section(raw, "initial", ("generator", "params"))
@@ -83,8 +92,8 @@ class ExperimentConfig:
                  f"forcing.generator: unknown generator '{self.forcing_name}'")
 
         tm = _section(raw, "times", ("start", "end", "count"))
-        self.t_start = float(tm.get("start", 0.0))
-        self.t_end = float(tm.get("end", 1.0))
+        self.t_start = _number(tm, "start", "times.start", 0.0)
+        self.t_end = _number(tm, "end", "times.end", 1.0)
         self.t_count = tm.get("count", 10)
         _require(self.t_start >= 0.0, "times.start must be >= 0")
         _require(self.t_end > self.t_start, "times.end must exceed times.start")
@@ -95,7 +104,7 @@ class ExperimentConfig:
         _require(isinstance(eps, list) and all(type(e) in (int, float) and e > 0 for e in eps),
                  "epsilons must be a list of positive numbers")
         self.epsilons = [float(e) for e in eps]
-        self.field_width = float(raw.get("field_width", 1.0))
+        self.field_width = _number(raw, "field_width", "field_width", 1.0)
 
         grids = raw.get("grids", [16, 24, 32])
         _require(isinstance(grids, list) and len(grids) >= 2, "grids must list >= 2 sizes")

@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import derive, flow_energy, sample_diagnostics, sup_norm
+from .fields import (_derivatives, _norms, flow_energy, sample_diagnostics, seminorm_jm,
+                     sup_norm)
 from .report import make_report, make_value_report
 
 __all__ = [
@@ -33,8 +34,8 @@ class DiagnosticsSeries:
         return np.array([getattr(s, name) for s in self.samples])
 
 
-def diagnostics_series(states, forcing=None, params=None):
-    """Per-state W, J1, J2, V, D1 plus the forcing L2 norm at each time."""
+def _check_states(states):
+    """The shared grid of a nonempty, strictly time-ordered state list."""
     if not states:
         raise ValueError("states must be nonempty")
     grid = states[0].grid
@@ -43,11 +44,21 @@ def diagnostics_series(states, forcing=None, params=None):
         raise ValueError("state times must be strictly increasing")
     if any(s.grid != grid for s in states):
         raise ValueError("mixed grids in state list")
+    return grid
+
+
+def _forcing_l2(X):
+    return float(np.sqrt(max(flow_energy(X), 0.0)))
+
+
+def diagnostics_series(states, forcing=None, params=None):
+    """Per-state W, J1, J2, V, D1 plus the forcing L2 norm at each time."""
+    grid = _check_states(states)
     samples = [sample_diagnostics(s.u, s.t) for s in states]
     if forcing is None:
         fnorms = [0.0] * len(states)
     else:
-        fnorms = [float(np.sqrt(max(flow_energy(forcing.at(s.t)), 0.0))) for s in states]
+        fnorms = [_forcing_l2(forcing.at(s.t)) for s in states]
     md = {"grid_n": grid.n, "grid_L": grid.L}
     if params is not None:
         md["nu"] = params.nu
@@ -162,20 +173,30 @@ def bound_suite(u0, states, forcing, params, scaling=False, holder=None):
     Scaling exponents are fitted on the self-similar normalizations
     V/J1 ~ t^{-1/4}, D_m/sqrt(W) ~ t^{-(2m+3)/4} and J_m/sqrt(W) ~ t^{-m/2};
     they require at least 5 positive-time samples spanning a decade.
+
+    Each state is differentiated only as far as its reports read:
+
+    - unforced, no scaling fit: W, V and J1, from the 9 first-derivative
+      stencils of each state;
+    - unforced with the scaling fit: the full ``sample_diagnostics`` of each
+      state, since J2 needs the second derivatives;
+    - forced: J1 and D1 from the same first-order pass.
+
+    The forcing, when given, is sampled once per state; that sample gives
+    both ||X|| and sup|X|.  ``u0`` is not used.
     """
-    series = diagnostics_series(states, forcing)
-    t = series.times
+    _check_states(states)
+    t = np.array([float(s.t) for s in states])
     reports = []
-    forced = forcing is not None and any(f > 0 for f in series.forcing_norms)
+    fnorms, sup_f = [], []
+    if forcing is not None:
+        for s in states:
+            X = forcing.at(s.t)
+            fnorms.append(_forcing_l2(X))
+            sup_f.append(sup_norm(X))
+    forced = any(f > 0 for f in fnorms)
 
     if not forced:
-        V = series.column("V")
-        W = series.column("W")
-        J1 = series.column("J1")
-        reports.append(_monotone_report("sup-speed-monotone", V, 1e-10))
-        reports.append(_monotone_report("energy-monotone", W, 1e-10))
-        reports.append(_monotone_report("gradient-seminorm-monotone", J1, 1e-10))
-
         pos = t > 0
         want_scaling = scaling is True or (
             scaling == "auto" and pos.sum() >= 5 and t[pos].max() / t[pos].min() >= 10.0
@@ -183,24 +204,36 @@ def bound_suite(u0, states, forcing, params, scaling=False, holder=None):
         if scaling is True and (pos.sum() < 5 or t[pos].max() / t[pos].min() < 10.0):
             raise ValueError("fewer than 5 usable time samples spanning a decade")
         if want_scaling:
+            samples = [sample_diagnostics(s.u, s.t) for s in states]
+            V, W, J1, J2, D1 = (np.array([getattr(d, name) for d in samples])
+                                for name in ("V", "W", "J1", "J2", "D1"))
+        else:
+            V = np.array([sup_norm(s.u) for s in states])
+            W = np.array([flow_energy(s.u) for s in states])
+            J1 = np.array([seminorm_jm(s.u, 1) for s in states])
+        reports.append(_monotone_report("sup-speed-monotone", V, 1e-10))
+        reports.append(_monotone_report("energy-monotone", W, 1e-10))
+        reports.append(_monotone_report("gradient-seminorm-monotone", J1, 1e-10))
+
+        if want_scaling:
             tp = t[pos]
-            J2 = series.column("J2")[pos]
-            D1 = series.column("D1")[pos]
-            Vp, Wp, J1p = V[pos], W[pos], J1[pos]
+            Vp, Wp, J1p, J2p, D1p = V[pos], W[pos], J1[pos], J2[pos], D1[pos]
             sqW = np.sqrt(Wp)
             reports.append(_scaling_report("speed-over-gradient-decay", tp, Vp / J1p, -0.25))
             reports.append(_scaling_report("sup-speed-decay-rate", tp, Vp / sqW, -0.75))
-            reports.append(_scaling_report("sup-gradient-decay-rate", tp, D1 / sqW, -1.25))
+            reports.append(_scaling_report("sup-gradient-decay-rate", tp, D1p / sqW, -1.25))
             reports.append(_scaling_report("gradient-seminorm-decay-rate", tp, J1p / sqW, -0.5))
-            reports.append(_scaling_report("second-seminorm-decay-rate", tp, J2 / sqW, -1.0))
+            reports.append(_scaling_report("second-seminorm-decay-rate", tp, J2p / sqW, -1.0))
     else:
         # forced-response ratio bounds; meaningful for runs started from rest
-        J1 = series.column("J1")
-        D1 = series.column("D1")
-        sup_f = [float(sup_norm(forcing.at(tk))) for tk in t]
+        J1, D1 = [], []
+        for s in states:
+            (j1,), d1 = _norms(s.u, 1)
+            J1.append(j1)
+            D1.append(d1)
         ratios_34, ratios_35 = [], []
         for k in range(1, len(t)):
-            rhs34 = abel_integral(t[: k + 1], series.forcing_norms[: k + 1], 0.5, params.nu)
+            rhs34 = abel_integral(t[: k + 1], fnorms[: k + 1], 0.5, params.nu)
             rhs35 = abel_integral(t[: k + 1], sup_f[: k + 1], 0.5, params.nu)
             if rhs34 > 0:
                 ratios_34.append(J1[k] / rhs34)
@@ -236,7 +269,7 @@ def max_increment_structure(u, separations_cells, core_half_cells):
     grid = u.grid
     n, h = grid.n, grid.h
     lo, hi = n // 2 - core_half_cells, n // 2 + core_half_cells
-    grads = [derive(c, ax).samples for c in u.components for ax in (1, 2, 3)]
+    grads = [d for c in u.components for _, _, d in _derivatives(c.samples, h, 1)]
     out = []
     for m in separations_cells:
         if m >= 2 * core_half_cells:

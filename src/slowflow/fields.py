@@ -163,7 +163,7 @@ def integrate(U, V):
 
 
 def _derive_array(a, axis, order, h):
-    a = np.moveaxis(a, axis, 0)
+    a = a.swapaxes(0, axis)
     out = np.empty_like(a)  # same memory order as a, so the result keeps a's layout
     if order == 1:
         out[1:-1] = (a[2:] - a[:-2]) / (2 * h)
@@ -173,7 +173,7 @@ def _derive_array(a, axis, order, h):
         out[1:-1] = (a[2:] - 2 * a[1:-1] + a[:-2]) / h ** 2
         out[0] = (2 * a[0] - 5 * a[1] + 4 * a[2] - a[3]) / h ** 2
         out[-1] = (2 * a[-1] - 5 * a[-2] + 4 * a[-3] - a[-4]) / h ** 2
-    return np.moveaxis(out, 0, axis)
+    return out.swapaxes(0, axis)
 
 
 def derive(U, axis, order=1):
@@ -217,13 +217,23 @@ def _derivatives(a, h, m):
             yield 2, 2, _derive_array(firsts[ax], bx, 1, h)
 
 
+def _norms(u, m):
+    """[J1, ..., Jm] and D1 of u from one derivative pass of order <= m over
+    all components; with m = 1 that is the 9 first-derivative stencils only."""
+    sq, D1 = [0.0] * m, 0.0  # sq[k - 1]: sum of squared k-th derivatives
+    for c in u.components:
+        for order, pairs, d in _derivatives(c.samples, u.grid.h, m):
+            sq[order - 1] += pairs * np.sum(d ** 2)
+            if order == 1:
+                D1 = max(D1, float(np.abs(d).max()))
+    return [float(np.sqrt(s * u.grid.cell_volume)) for s in sq], D1
+
+
 def seminorm_jm(u, m):
     """L^2 seminorm over all ordered m-th derivative combinations of all components."""
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
-    total = sum(pairs * np.sum(d ** 2) for c in u.components
-                for order, pairs, d in _derivatives(c.samples, u.grid.h, m) if order == m)
-    return float(np.sqrt(total * u.grid.cell_volume))
+    return _norms(u, m)[0][m - 1]
 
 
 def flow_energy(u):
@@ -235,8 +245,10 @@ def sup_derivative(u, m=1):
     """D_m: max over components and m-th derivative combinations of the sup norm."""
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
+    if m == 1:
+        return _norms(u, 1)[1]
     return max(float(np.abs(d).max()) for c in u.components
-               for order, _, d in _derivatives(c.samples, u.grid.h, m) if order == m)
+               for order, _, d in _derivatives(c.samples, u.grid.h, 2) if order == 2)
 
 
 @dataclass(frozen=True)
@@ -253,11 +265,5 @@ class DiagnosticsSample:
 
 def sample_diagnostics(u, t):
     """W, J1, J2, V and D1 of one state from a single derivative pass."""
-    sq, D1 = [0.0, 0.0, 0.0], 0.0  # sq[m]: sum of squared m-th derivatives
-    for c in u.components:
-        for order, pairs, d in _derivatives(c.samples, u.grid.h, 2):
-            sq[order] += pairs * np.sum(d ** 2)
-            if order == 1:
-                D1 = max(D1, float(np.abs(d).max()))
-    J1, J2 = (float(np.sqrt(s * u.grid.cell_volume)) for s in sq[1:])
+    (J1, J2), D1 = _norms(u, 2)
     return DiagnosticsSample(float(t), flow_energy(u), J1, J2, sup_norm(u), D1)

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from slowflow import ScalarField, VectorField3, make_grid
-from slowflow.energy import (abel_integral, bound_suite, continuity_probe,
-                             diagnostics_series, energy_balance_residual,
-                             energy_inequality_check, fit_loglog_slope,
-                             holder_half_report, max_increment_structure)
+from slowflow import ScalarField, VectorField3, fields, make_grid, sup_norm
+from slowflow.energy import (_monotone_report, _scaling_report, abel_integral,
+                             bound_suite, continuity_probe, diagnostics_series,
+                             energy_balance_residual, energy_inequality_check,
+                             fit_loglog_slope, holder_half_report,
+                             max_increment_structure)
+from slowflow.report import make_report
 from slowflow.fieldgen import (cusp_flow, ramped_forcing, random_solenoidal,
                                solenoidal_gaussian,
                                solenoidal_gaussian_laplacian)
-from slowflow.stokes import FluidParams, FlowState, solve_linearized
+from slowflow.stokes import FluidParams, FlowState, ForcingField, solve_linearized
 
 PAR = FluidParams(1.0, 1.0)
 
@@ -170,6 +172,114 @@ class TestBoundSuite:
         assert all(r.passed for r in reports)
         for r in reports:
             assert np.isfinite(r.metadata["empirical_constant"])
+
+
+def _bound_suite_oracle(states, forcing, params, fit):
+    """bound_suite's reports built from the full diagnostics series, with
+    each forcing time sampled again for sup|X| (the path it replaced)."""
+    ser = diagnostics_series(states, forcing)
+    t = ser.times
+    col = {name: ser.column(name) for name in ("W", "J1", "J2", "V", "D1")}
+    if not (forcing is not None and any(f > 0 for f in ser.forcing_norms)):
+        reports = [_monotone_report(name, col[key], 1e-10) for name, key in (
+            ("sup-speed-monotone", "V"), ("energy-monotone", "W"),
+            ("gradient-seminorm-monotone", "J1"))]
+        if fit:
+            pos = t > 0
+            c = {name: v[pos] for name, v in col.items()}
+            sqW = np.sqrt(c["W"])
+            for name, ratio, expected in (
+                    ("speed-over-gradient-decay", c["V"] / c["J1"], -0.25),
+                    ("sup-speed-decay-rate", c["V"] / sqW, -0.75),
+                    ("sup-gradient-decay-rate", c["D1"] / sqW, -1.25),
+                    ("gradient-seminorm-decay-rate", c["J1"] / sqW, -0.5),
+                    ("second-seminorm-decay-rate", c["J2"] / sqW, -1.0)):
+                reports.append(_scaling_report(name, t[pos], ratio, expected))
+        return reports
+    sup_f = [sup_norm(forcing.at(tk)) for tk in t]
+    reports = []
+    for name, norms, values in (("forced-gradient-ratio", ser.forcing_norms, col["J1"]),
+                                ("forced-sup-derivative-ratio", sup_f, col["D1"])):
+        ratios = []
+        for k in range(1, len(t)):
+            rhs = abel_integral(t[: k + 1], norms[: k + 1], 0.5, params.nu)
+            if rhs > 0:
+                ratios.append(values[k] / rhs)
+        ratios = np.asarray(ratios)
+        md = {"empirical_constant": float(ratios.max()), "ratios": [float(r) for r in ratios]}
+        if name == "forced-sup-derivative-ratio":
+            md["note"] = "stated with '=' in the source relation; certified as an upper bound"
+        reports.append(make_report(name, float(ratios.max()),
+                                   3.0 * float(np.median(ratios)), 0.0, md))
+    return reports
+
+
+@pytest.fixture(scope="module")
+def ramp_run():
+    g = make_grid(16, 4.0)
+    par = FluidParams(0.5, 1.0)
+    F = ramped_forcing(g, solenoidal_gaussian(g, width=0.9),
+                       solenoidal_gaussian_laplacian(g, width=0.9), par.nu, 0.4)
+    states = solve_linearized(VectorField3.zeros(g), F, par, [0.05, 0.1, 0.2, 0.3],
+                              assume_solenoidal=True)
+    return F, par, states
+
+
+class TestBoundSuiteFirstOrder:
+    DECADE = (0.0, 0.04, 0.08, 0.15, 0.25, 0.4)  # 5 positive times over a decade
+
+    @pytest.mark.parametrize("scaling,times,fit", [
+        (False, DECADE, False),
+        (True, DECADE, True),
+        ("auto", DECADE, True),
+        ("auto", (0.0, 0.2, 0.4, 0.8), False),
+    ])
+    def test_unforced_matches_full_series(self, grid16, scaling, times, fit):
+        u0, states = _heat_states(grid16, seed=4, times=times)
+        got = bound_suite(u0, states, None, PAR, scaling=scaling)
+        want = _bound_suite_oracle(states, None, PAR, fit)
+        assert [vars(r) for r in got] == [vars(r) for r in want]
+
+    def test_forced_matches_full_series(self, ramp_run):
+        F, par, states = ramp_run
+        got = bound_suite(None, states, F, par)
+        assert [r.name for r in got] == ["forced-gradient-ratio", "forced-sup-derivative-ratio"]
+        assert [vars(r) for r in got] == [vars(r) for r in _bound_suite_oracle(states, F, par, False)]
+
+    def test_zero_forcing_matches_full_series(self, grid16):
+        u0, states = _heat_states(grid16, seed=5, times=(0.0, 0.1, 0.3))
+        F = ForcingField.zero(grid16)
+        got = bound_suite(u0, states, F, PAR, scaling="auto")
+        assert [vars(r) for r in got] == [vars(r) for r in _bound_suite_oracle(states, F, PAR, False)]
+
+    def test_monotone_branch_takes_first_derivatives_only(self, monkeypatch, grid16):
+        u0, states = _heat_states(grid16, times=(0.0, 0.1, 0.2))
+        calls = []
+        derive_array = fields._derive_array
+
+        def counting(a, axis, order, h):
+            calls.append(order)
+            return derive_array(a, axis, order, h)
+
+        monkeypatch.setattr(fields, "_derive_array", counting)
+        bound_suite(u0, states, None, PAR, scaling=False)
+        assert calls == [1] * (9 * len(states))  # a full diagnosis would take 27 per state
+
+    def test_forced_branch_samples_each_time_once(self, ramp_run):
+        F, par, states = ramp_run
+        times = []
+        counted = ForcingField(F.grid, lambda t: (times.append(t), F.at(t))[1])
+        bound_suite(None, states, counted, par)
+        assert times == [s.t for s in states]
+
+    def test_state_list_checks(self, grid16):
+        u0, states = _heat_states(grid16, times=(0.0, 0.1))
+        other = _heat_states(make_grid(16, 5.0), times=(0.2,))[1]
+        for bad, match in (([], "nonempty"), (states[::-1], "increasing"),
+                           (states + other, "mixed grids")):
+            for fn in (lambda s: bound_suite(u0, s, None, PAR), diagnostics_series):
+                with pytest.raises(ValueError, match=match):
+                    fn(bad)
 
 
 class TestHolderProbe:

@@ -247,6 +247,16 @@ class TestDerivativePass:
         for m in (1, 2):
             assert seminorm_jm(u, m) == pytest.approx(J[m], rel=1e-13)
             assert sup_derivative(u, m) == pytest.approx(D[m], rel=1e-13)
+        # each stencil acts along its axis in place of axis 0 of a transposed
+        # copy: same values, and the result keeps the input's C layout
+        a = u.u1.samples
+        for axis in range(3):
+            for order in (1, 2):
+                got = fields._derive_array(a, axis, order, g.h)
+                moved = np.ascontiguousarray(np.moveaxis(a, axis, 0))
+                want = np.moveaxis(fields._derive_array(moved, 0, order, g.h), 0, axis)
+                assert got.flags.c_contiguous
+                np.testing.assert_array_equal(got, want)
 
     def test_j2_matches_closed_form_at_h2_rate(self):
         # sum_ab int (d_a d_b f)^2 = int (lap f)^2 = (15/4) pi^{3/2} for

@@ -248,7 +248,15 @@ def test_override_on_malformed_config_is_a_config_error(tmp_path, capsys, raw, f
     ("solve", {"times": {"start": 0.0, "end": 0.6, "count": 3.9}}, "times.count"),
     ("convergence-study", {"grids": [16.7, 24.2]}, "grids"),
     ("mollify-study", {"epsilons": [True]}, "epsilons"),
-], ids=["fractional-count", "fractional-grids", "bool-epsilon"])
+    ("solve", {"grid": {"n": 16, "L": "4"}}, "grid.L"),
+    ("solve", {"params": {"nu": "1"}}, "params.nu"),
+    ("solve", {"params": {"nu": True}}, "params.nu"),
+    ("solve", {"params": {"rho": None}}, "params.rho"),
+    ("solve", {"times": {"start": None}}, "times.start"),
+    ("solve", {"times": {"end": "0.6"}}, "times.end"),
+    ("mollify-study", {"field_width": None}, "field_width"),
+], ids=["fractional-count", "fractional-grids", "bool-epsilon", "string-L", "string-nu",
+        "bool-nu", "null-rho", "null-start", "string-end", "null-field-width"])
 def test_config_numbers_are_not_truncated_or_coerced(tmp_path, capsys, command, extra, field):
     path = _write_config(tmp_path, extra)
     code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
