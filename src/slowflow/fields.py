@@ -7,6 +7,16 @@ decay well inside the box; boundary stencils are one-sided and see ~zero data.
 Stencils on different axes commute exactly (each acts on one tensor factor of
 the grid, boundary rows included), so each mixed second derivative is built
 once and J2 counts it twice, for the ordered pairs (a, b) and (b, a).
+
+A stencil on a C- or F-contiguous array runs its centered interior as one
+pass over flat memory, where the neighbours along the axis lie a fixed
+stride B apart.  That is exact: a cell whose flat neighbours at +-B are not
+its axis neighbours has index 0 or n - 1 along the axis, and those two
+boundary layers are rewritten afterwards by the one-sided formulas.  Every
+cell sees the same floating-point operations in the same order as on a
+strided view, and nothing 3D is allocated besides the result; the diagnostics
+reuse one workspace per call, so the derivative pass allocates no 3D
+temporary per derivative.
 """
 
 from dataclasses import dataclass, field
@@ -148,7 +158,12 @@ class VectorField3:
     __rmul__ = __mul__
 
     def speed_squared(self):
-        return sum(c.samples ** 2 for c in self.components)
+        """u1^2 + u2^2 + u3^2, accumulated in place in component order."""
+        out = np.square(self.u1.samples)
+        buf = np.empty_like(out)
+        for c in (self.u2, self.u3):
+            out += np.square(c.samples, out=buf)
+        return out
 
 
 def _check_same_grid(a, b):
@@ -162,18 +177,33 @@ def integrate(U, V):
     return float(np.sum(U.samples * V.samples) * U.grid.cell_volume)
 
 
-def _derive_array(a, axis, order, h):
-    a = a.swapaxes(0, axis)
-    out = np.empty_like(a)  # same memory order as a, so the result keeps a's layout
-    if order == 1:
-        out[1:-1] = (a[2:] - a[:-2]) / (2 * h)
-        out[0] = (-3 * a[0] + 4 * a[1] - a[2]) / (2 * h)
-        out[-1] = (3 * a[-1] - 4 * a[-2] + a[-3]) / (2 * h)
+def _derive_array(a, axis, order, h, out=None):
+    """Centered stencil of the given order along axis, one-sided at its two
+    boundary layers, written into out (default: a new array laid out as a;
+    a given out must not share memory with a)."""
+    if out is None:
+        out = np.empty_like(a)
+    s, o = a.swapaxes(0, axis), out.swapaxes(0, axis)
+    if (a.flags.c_contiguous or a.flags.f_contiguous) and out.strides == a.strides:
+        # one pass over flat memory: neighbours along axis lie B cells apart
+        B = a.strides[axis] // a.itemsize
+        f, g = a.ravel(order="K"), out.ravel(order="K")
+        lo, mid, hi, dst = f[:-2 * B], f[B:-B], f[2 * B:], g[B:-B]
     else:
-        out[1:-1] = (a[2:] - 2 * a[1:-1] + a[:-2]) / h ** 2
-        out[0] = (2 * a[0] - 5 * a[1] + 4 * a[2] - a[3]) / h ** 2
-        out[-1] = (2 * a[-1] - 5 * a[-2] + 4 * a[-3] - a[-4]) / h ** 2
-    return out.swapaxes(0, axis)
+        lo, mid, hi, dst = s[:-2], s[1:-1], s[2:], o[1:-1]
+    if order == 1:
+        np.subtract(hi, lo, out=dst)
+        dst /= 2 * h
+        o[0] = (-3 * s[0] + 4 * s[1] - s[2]) / (2 * h)
+        o[-1] = (3 * s[-1] - 4 * s[-2] + s[-3]) / (2 * h)
+    else:
+        np.multiply(mid, 2, out=dst)
+        np.subtract(hi, dst, out=dst)
+        dst += lo
+        dst /= h ** 2
+        o[0] = (2 * s[0] - 5 * s[1] + 4 * s[2] - s[3]) / h ** 2
+        o[-1] = (2 * s[-1] - 5 * s[-2] + 4 * s[-3] - s[-4]) / h ** 2
+    return out
 
 
 def derive(U, axis, order=1):
@@ -201,31 +231,46 @@ def sup_norm(u):
     return float(np.sqrt(u.speed_squared().max()))
 
 
-def _derivatives(a, h, m):
+def _derivatives(a, h, m, work=None):
     """Yield (order, ordered pairs, array) once per distinct derivative of
     order <= m of one component: 3 first, then 3 pure second and 3 mixed ones
     (a first derivative differenced again, standing for 2 ordered pairs).
     Between yields it keeps only the 3 first derivatives.
+
+    With a workspace ``work`` (3 arrays for m = 1, 4 for m = 2, laid out as
+    ``a``) no 3D array is allocated: the first derivatives go to work[0:3] and
+    each second derivative to work[3], so a yielded array is valid only until
+    the next yield.
     """
-    firsts = [_derive_array(a, ax, 1, h) for ax in range(3)]
+    w = work or [None] * 4
+    firsts = [_derive_array(a, ax, 1, h, w[ax]) for ax in range(3)]
     for g in firsts:
         yield 1, 1, g
     if m == 2:
         for ax in range(3):
-            yield 2, 1, _derive_array(a, ax, 2, h)
+            yield 2, 1, _derive_array(a, ax, 2, h, w[3])
         for ax, bx in ((0, 1), (0, 2), (1, 2)):
-            yield 2, 2, _derive_array(firsts[ax], bx, 1, h)
+            yield 2, 2, _derive_array(firsts[ax], bx, 1, h, w[3])
+
+
+def _like(a, buf):
+    """buf if it has a's strides, else a new array laid out as a; a reduction
+    over either runs in the same order as one over a ** 2."""
+    return buf if buf is not None and buf.strides == a.strides else np.empty_like(a)
 
 
 def _norms(u, m):
     """[J1, ..., Jm] and D1 of u from one derivative pass of order <= m over
     all components; with m = 1 that is the 9 first-derivative stencils only."""
     sq, D1 = [0.0] * m, 0.0  # sq[k - 1]: sum of squared k-th derivatives
+    work = [None] * (3 + m)  # the workspace of _derivatives, then one reduction buffer
     for c in u.components:
-        for order, pairs, d in _derivatives(c.samples, u.grid.h, m):
-            sq[order - 1] += pairs * np.sum(d ** 2)
+        work = [_like(c.samples, w) for w in work]
+        *ws, buf = work
+        for order, pairs, d in _derivatives(c.samples, u.grid.h, m, ws):
+            sq[order - 1] += pairs * np.sum(np.square(d, out=buf))
             if order == 1:
-                D1 = max(D1, float(np.abs(d).max()))
+                D1 = max(D1, float(np.abs(d, out=buf).max()))
     return [float(np.sqrt(s * u.grid.cell_volume)) for s in sq], D1
 
 
@@ -238,7 +283,11 @@ def seminorm_jm(u, m):
 
 def flow_energy(u):
     """W = integral of u_i u_i over the box."""
-    return float(sum(np.sum(c.samples ** 2) for c in u.components) * u.grid.cell_volume)
+    total, buf = 0, None
+    for c in u.components:
+        buf = _like(c.samples, buf)
+        total += np.sum(np.square(c.samples, out=buf))
+    return float(total * u.grid.cell_volume)
 
 
 def sup_derivative(u, m=1):

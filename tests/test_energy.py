@@ -257,9 +257,9 @@ class TestBoundSuiteFirstOrder:
         calls = []
         derive_array = fields._derive_array
 
-        def counting(a, axis, order, h):
+        def counting(a, axis, order, h, *args, **kw):
             calls.append(order)
-            return derive_array(a, axis, order, h)
+            return derive_array(a, axis, order, h, *args, **kw)
 
         monkeypatch.setattr(fields, "_derive_array", counting)
         bound_suite(u0, states, None, PAR, scaling=False)

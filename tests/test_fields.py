@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -229,7 +231,100 @@ def _gaussian_x(n):
                                        zero, zero)
 
 
+def _swapped_axis_derive(a, axis, order, h):
+    """The stencil as first written (fresh temporaries on a swapped-axis view),
+    frozen here as the oracle of the in-place kernel."""
+    a = a.swapaxes(0, axis)
+    out = np.empty_like(a)
+    if order == 1:
+        out[1:-1] = (a[2:] - a[:-2]) / (2 * h)
+        out[0] = (-3 * a[0] + 4 * a[1] - a[2]) / (2 * h)
+        out[-1] = (3 * a[-1] - 4 * a[-2] + a[-3]) / (2 * h)
+    else:
+        out[1:-1] = (a[2:] - 2 * a[1:-1] + a[:-2]) / h ** 2
+        out[0] = (2 * a[0] - 5 * a[1] + 4 * a[2] - a[3]) / h ** 2
+        out[-1] = (2 * a[-1] - 5 * a[-2] + 4 * a[-3] - a[-4]) / h ** 2
+    return out.swapaxes(0, axis)
+
+
+def _layouts(rng, n):
+    """One n^3 array as C-contiguous, F-contiguous and a sliced (strided) view."""
+    base = rng.standard_normal((n + 3,) * 3)
+    view = base[1:n + 1, 2:n + 2, :n]
+    return {"C": np.ascontiguousarray(view), "F": np.asfortranarray(view), "sliced": view}
+
+
+def _layout(a):
+    return a.flags.c_contiguous, a.flags.f_contiguous, a.strides
+
+
 class TestDerivativePass:
+    @pytest.mark.parametrize("n", [8, 10, 24, 40])
+    def test_in_place_stencil_matches_swapped_axis_formula(self, rng, n):
+        h = 0.7 / n
+        for name, a in _layouts(rng, n).items():
+            for axis in range(3):
+                for order in (1, 2):
+                    want = _swapped_axis_derive(a, axis, order, h)
+                    got = fields._derive_array(a, axis, order, h)
+                    np.testing.assert_array_equal(got, want, err_msg=f"{name} {axis} {order}")
+                    assert _layout(got) == _layout(want), (name, axis, order)
+                    # a given out of another layout takes the strided path: same values
+                    out = np.empty_like(a, order="F" if name == "C" else "C")
+                    assert fields._derive_array(a, axis, order, h, out) is out
+                    np.testing.assert_array_equal(out, want)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_workspace_yields_the_same_derivatives(self, rng, m):
+        for a in _layouts(rng, 10).values():
+            fresh = [(o, p, d.copy()) for o, p, d in fields._derivatives(a, 0.3, m)]
+            work = [np.empty_like(a) for _ in range(2 + m)]
+            reused = [(o, p, d.copy()) for o, p, d in fields._derivatives(a, 0.3, m, work)]
+            assert [(o, p) for o, p, _ in reused] == [(o, p) for o, p, _ in fresh]
+            for (_, _, x), (_, _, y) in zip(reused, fresh):
+                np.testing.assert_array_equal(x, y)
+
+    def test_norms_allocate_one_workspace(self, rng):
+        # 4 derivative arrays and 1 reduction buffer; a 3D temporary per
+        # stencil or per reduction would push the peak to 7 n^3 doubles
+        n = 40
+        u = VectorField3.from_arrays(make_grid(n, 5.0),
+                                     *(rng.standard_normal((n,) * 3) for _ in range(3)))
+        fields._norms(u, 2)
+        tracemalloc.start()
+        try:
+            fields._norms(u, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * n ** 3 * 8
+
+    def test_reductions_run_as_over_fresh_arrays(self, rng):
+        # the workspace keeps each component's layout, so every sum runs in
+        # the order of np.sum(d ** 2) over a freshly built derivative; values
+        # spread over 12 decades make a sum in another order differ in its last bits
+        g = make_grid(24, 3.0)
+        arrays = [rng.standard_normal((24,) * 3) * 10.0 ** rng.uniform(-6, 6, (24,) * 3)
+                  for _ in range(3)]
+        for conv in (np.ascontiguousarray, np.asfortranarray):
+            u = VectorField3.from_arrays(g, *(conv(a) for a in arrays))
+            s1 = s2 = D1 = 0.0
+            for c in u.components:
+                firsts = [_swapped_axis_derive(c.samples, ax, 1, g.h) for ax in range(3)]
+                for d in firsts:
+                    s1 += np.sum(d ** 2)
+                    D1 = max(D1, float(np.abs(d).max()))
+                for ax in range(3):
+                    s2 += np.sum(_swapped_axis_derive(c.samples, ax, 2, g.h) ** 2)
+                for ax, bx in ((0, 1), (0, 2), (1, 2)):
+                    s2 += 2 * np.sum(_swapped_axis_derive(firsts[ax], bx, 1, g.h) ** 2)
+            want = [float(np.sqrt(s * g.cell_volume)) for s in (s1, s2)], D1
+            assert fields._norms(u, 2) == want
+            assert flow_energy(u) == float(sum(np.sum(c.samples ** 2) for c in u.components)
+                                           * g.cell_volume)
+            np.testing.assert_array_equal(u.speed_squared(),
+                                          sum(c.samples ** 2 for c in u.components))
+
     def test_matches_brute_force_oracle(self, rng):
         g = make_grid(24, 3.0)
         u = VectorField3.from_arrays(g, *(rng.standard_normal((24,) * 3) for _ in range(3)))
@@ -278,9 +373,9 @@ class TestDerivativePass:
         calls = []
         derive_array = fields._derive_array
 
-        def counting(a, axis, order, h):
+        def counting(a, axis, order, h, *args, **kw):
             calls.append(order)
-            return derive_array(a, axis, order, h)
+            return derive_array(a, axis, order, h, *args, **kw)
 
         monkeypatch.setattr(fields, "_derive_array", counting)
         sample_diagnostics(u, 0.0)

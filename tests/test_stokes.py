@@ -357,9 +357,9 @@ class TestSolveLinearized:
         calls = []
         derive_array = fields._derive_array
 
-        def counting(a, axis, order, h):
+        def counting(a, axis, order, h, *args, **kw):
             calls.append(order)
-            return derive_array(a, axis, order, h)
+            return derive_array(a, axis, order, h, *args, **kw)
 
         monkeypatch.setattr(fields, "_derive_array", counting)
         solve_linearized(u0, None, PAR, [0.0, 0.5])
