@@ -4,7 +4,8 @@ Subcommands: ``solve``, ``verify``, ``mollify-study``, ``convergence-study``.
 Each reads a JSON config (unknown keys are errors), runs a fixed pipeline, and
 writes LERF fields, a diagnostics CSV, and a report JSON into the output
 directory.  Exit status: 0 all checks pass, 1 a check failed (reports are
-still written), 2 config error.
+still written), 2 a config error ("config error: ...") or a solver ValueError
+such as an under-resolved time ("error: ..."), neither with a traceback.
 """
 
 import argparse
@@ -131,7 +132,7 @@ class ExperimentConfig:
         return fieldgen.initial_condition(self.initial_name, self.grid, self.initial_params)
 
     def forcing_field(self):
-        return fieldgen.forcing(self.forcing_name, self.grid, self.forcing_params, self.params)
+        return fieldgen.forcing(self.forcing_name, self.grid, self.forcing_params)
 
 
 def _fmt(x):
@@ -346,8 +347,11 @@ def main(argv=None):
         cfg = ExperimentConfig(raw, args.command)
         out_dir = args.out or cfg.output
         code, reports = run_experiment(cfg, out_dir)
-    except (ConfigError, ValueError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
     for r in reports:
         status = "pass" if r.passed else "FAIL"

@@ -201,17 +201,17 @@ INITIAL_GENERATORS = {
 }
 
 
-def _f_none(grid, params, fluid):
+def _f_none(grid, params):
     return None
 
 
-def _f_solenoidal_pulse(grid, params, fluid):
+def _f_solenoidal_pulse(grid, params):
     return solenoidal_pulse_forcing(grid, width=params.get("width", 1.0),
                                     amplitude=params.get("amplitude", 1.0),
                                     t_scale=params.get("t_scale", 1.0))
 
 
-def _f_gradient_pulse(grid, params, fluid):
+def _f_gradient_pulse(grid, params):
     return gradient_pulse_forcing(grid, width=params.get("width", 1.0),
                                   amplitude=params.get("amplitude", 1.0),
                                   t_scale=params.get("t_scale", 1.0))
@@ -230,7 +230,7 @@ def initial_condition(name, grid, params=None):
     return INITIAL_GENERATORS[name](grid, params or {})
 
 
-def forcing(name, grid, params=None, fluid=None):
+def forcing(name, grid, params=None):
     if name not in FORCING_GENERATORS:
         raise ValueError(f"unknown forcing generator '{name}'")
-    return FORCING_GENERATORS[name](grid, params or {}, fluid)
+    return FORCING_GENERATORS[name](grid, params or {})

@@ -8,13 +8,13 @@ fundamental tensor
     G(r, tau)    = exp(-r^2 / (4 nu tau)) / (4 pi nu tau)^{3/2},
     Phi(r, tau)  = erf(r / (2 sqrt(nu tau))) / (4 pi r),
 
-and the pressure by the Newtonian potential of the forcing.  Phi = N * G is
-the Newtonian potential of the heat kernel (N = 1/(4 pi r)), so
-T * X = G * (P X) with P X = X + grad(N * div X) the Leray projection.  P
-commutes with G, so the Duhamel integral is P applied once to a heat-only
-sum; T itself is evaluated pointwise only by ``oseen_tensor_eval``.  The heat
-step and every Duhamel node apply G through one separable operator,
-``_heat_apply``: no 3D transform runs per node.
+and the pressure by the Newtonian potential p = -rho N * (div X) of the
+forcing, N = 1/(4 pi r).  Phi = N * G, so T * X = G * (P X) with
+P X = X + grad(N * div X) the Leray projection, whose Newton convolution the
+pressure shares.  P commutes with G, so the Duhamel integral is P applied
+once to a heat-only sum; T itself is evaluated pointwise only by
+``oseen_tensor_eval``.  The heat step and every Duhamel node apply G through
+one separable operator, ``_heat_apply``: no 3D transform runs per node.
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erf
 
-from .convolve import SpectralAccumulator, newton_kernel
+from .convolve import convolve_offsets, newton_kernel
 from .fields import ScalarField, VectorField3, _derivatives, derive, divergence
 from .report import make_report
 
@@ -92,26 +92,24 @@ class ForcingField:
         return X
 
 
-def _heat_factor(grid, nu_t, normalized=True):
+def _heat_factor(grid, nu_t):
     """1D factor k and radius R of the truncated heat kernel K = k(x) k(y) k(z),
-    up to the 1/h^3 of the unit-mass kernel when ``normalized``.  R spans 8
-    widths sqrt(2 nu t), clipped to [1, n-1]."""
+    up to the 1/h^3 of the unit-mass kernel.  R spans 8 widths sqrt(2 nu t),
+    clipped to [1, n-1]."""
     R = max(1, min(grid.n - 1, int(np.ceil(8.0 * np.sqrt(2.0 * nu_t) / grid.h)) + 1))
     off = grid.offsets(R)
     p = np.exp(-off * off / (4.0 * nu_t))
-    return (p / p.sum() if normalized else p / np.sqrt(4.0 * np.pi * nu_t)), R
+    return p / p.sum(), R
 
 
-def heat_kernel_on_grid(grid, nu_t, normalized=True):
-    """Gaussian offset kernel of variance 2*nu*t per axis, truncated at 8 widths.
-
-    ``normalized`` rescales to exact unit discrete mass, making the
-    convolution weights a convex combination (sup and energy contraction hold
-    exactly, constants are preserved exactly).
-    """
-    k, R = _heat_factor(grid, nu_t, normalized)
+def heat_kernel_on_grid(grid, nu_t):
+    """Gaussian offset kernel of variance 2*nu*t per axis, truncated at 8 widths
+    and rescaled to exact unit discrete mass: the convolution weights are a
+    convex combination (sup and energy contraction hold exactly, constants are
+    preserved exactly)."""
+    k, R = _heat_factor(grid, nu_t)
     K = k[:, None, None] * k[None, :, None] * k[None, None, :]
-    return (K / grid.cell_volume if normalized else K), R
+    return K / grid.cell_volume, R
 
 
 def _heat_apply(arrays, grid, nu_t):
@@ -251,22 +249,16 @@ def forced_response(X, params, t, assume_solenoidal=False):
         for a, x, y in zip(H, X_t.components, X_t0.components)))
     if assume_solenoidal:
         return H
-    newton = SpectralAccumulator(grid.n, grid.n - 1, grid.h)
-    newton.add(newton.field_fft(divergence(H).samples), newton.kernel_fft(newton_kernel(grid)))
-    pot = ScalarField(grid, newton.extract())
+    pot = ScalarField(grid, convolve_offsets(divergence(H).samples, newton_kernel(grid), grid.h))
     return H + VectorField3(*(derive(pot, ax) for ax in (1, 2, 3)))
 
 
 def pressure_field(X_t, params):
-    """Newtonian-potential pressure -rho * d_j (N * X_j) for the forcing at one time."""
+    """Newtonian-potential pressure p = -rho N * (div X) of the forcing at one
+    time, by the projection's Newton convolution (X must decay inside the box)."""
     grid = X_t.grid
-    accs = [SpectralAccumulator(grid.n, grid.n - 1, grid.h) for _ in range(3)]
-    NF = accs[0].kernel_fft(newton_kernel(grid))
-    total = np.zeros((grid.n,) * 3)
-    for acc, comp, ax in zip(accs, X_t.components, (1, 2, 3)):
-        acc.add(acc.field_fft(comp.samples), NF)
-        total += derive(ScalarField(grid, acc.extract()), ax).samples
-    return ScalarField(grid, -params.rho * total)
+    return ScalarField(grid, -params.rho * convolve_offsets(
+        divergence(X_t).samples, newton_kernel(grid), grid.h))
 
 
 def _check_solenoidal(u0, div_rtol):

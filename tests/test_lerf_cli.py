@@ -266,6 +266,14 @@ def test_config_numbers_are_not_truncated_or_coerced(tmp_path, capsys, command, 
     assert not (tmp_path / "o").exists()
 
 
+def test_solver_error_is_not_labelled_a_config_error(tmp_path, capsys):
+    # a valid config whose first nonzero time is below the heat-kernel floor
+    path = _write_config(tmp_path, {"times": {"start": 0.0, "end": 1e-4, "count": 4}})
+    code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: under-resolved")
+
+
 def test_grid_L_override(tmp_path):
     path = _write_config(tmp_path)
     out = tmp_path / "o"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from slowflow import (ScalarField, VectorField3, derive, divergence, fields,
+from slowflow import (ScalarField, VectorField3, divergence, fields,
                       flow_energy, make_grid, seminorm_jm, sup_norm)
 from slowflow.convolve import (SpectralAccumulator, convolve_direct,
                                convolve_offsets, newton_kernel)
@@ -286,9 +286,11 @@ class TestForcedResponse:
         for a, r in zip(u.components, ref):
             np.testing.assert_allclose(a.samples, r, rtol=0, atol=1e-12 * sup)
 
-    @pytest.mark.parametrize("assume_solenoidal,expected", [(False, 1), (True, 0)])
+    @pytest.mark.parametrize("assume_solenoidal,expected", [(False, 1), (True, 0), ("solve", 2)])
     def test_only_the_projection_makes_3d_transforms(self, monkeypatch, assume_solenoidal,
                                                      expected):
+        """One Newton convolution for the projection; a forced solve adds one
+        for the pressure at each output time."""
         calls = {"kernel_fft": 0, "field_fft": 0}
         for name in calls:
             def counting(self, a, _name=name, _orig=getattr(SpectralAccumulator, name)):
@@ -297,7 +299,11 @@ class TestForcedResponse:
             monkeypatch.setattr(SpectralAccumulator, name, counting)
         g = make_grid(24, 4.0)  # the forced_duhamel benchmark settings: 14 nodes
         F = gradient_pulse_forcing(g, width=1.0, t_scale=0.5)
-        forced_response(F, FluidParams(0.25, 1.0), 0.15, assume_solenoidal=assume_solenoidal)
+        par = FluidParams(0.25, 1.0)
+        if assume_solenoidal == "solve":
+            solve_linearized(VectorField3.zeros(g), F, par, [0.15])
+        else:
+            forced_response(F, par, 0.15, assume_solenoidal=assume_solenoidal)
         assert calls == {"kernel_fft": expected, "field_fft": expected}
 
 
@@ -335,12 +341,9 @@ class TestPressure:
         b = convolve_direct(f, N, g.h)
         np.testing.assert_allclose(a, b, atol=1e-12 * np.abs(b).max())
 
-    def test_matches_componentwise_convolution(self, grid16, rng):
+    def test_matches_direct_sum_of_newton_potential_of_divergence(self, grid16, rng):
         X = VectorField3.from_arrays(grid16, *rng.standard_normal((3, 16, 16, 16)))
-        N = newton_kernel(grid16)
-        ref = -PAR.rho * sum(
-            derive(ScalarField(grid16, convolve_offsets(c.samples, N, grid16.h)), ax).samples
-            for c, ax in zip(X.components, (1, 2, 3)))
+        ref = -PAR.rho * convolve_direct(divergence(X).samples, newton_kernel(grid16), grid16.h)
         p = pressure_field(X, PAR).samples
         np.testing.assert_allclose(p, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
