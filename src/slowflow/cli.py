@@ -1,11 +1,13 @@
 """Batch experiment runner.
 
 Subcommands: ``solve``, ``verify``, ``mollify-study``, ``convergence-study``.
-Each reads a JSON config (unknown keys are errors), runs a fixed pipeline, and
-writes LERF fields, a diagnostics CSV, and a report JSON into the output
-directory.  Exit status: 0 all checks pass, 1 a check failed (reports are
-still written), 2 a config error ("config error: ...") or a solver ValueError
-such as an under-resolved time ("error: ..."), neither with a traceback.
+Each reads a JSON config checked against ``SCHEMA``, one type table and key set
+for every subcommand (unknown keys and generator params are errors), runs a
+fixed pipeline, and writes LERF fields, a diagnostics CSV, and a report JSON
+into the output directory.  Exit status: 0 all checks pass, 1 a check failed
+(reports are still written), 2 a config error ("config error: ...") or a
+solver ValueError such as an under-resolved time ("error: ..."), neither with
+a traceback.
 """
 
 import argparse
@@ -25,14 +27,31 @@ class ConfigError(ValueError):
     pass
 
 
-# one config document can drive every subcommand; unknown keys are errors
-_ALLOWED_KEYS = {"grid", "params", "output", "initial", "forcing", "times",
-                 "checks", "epsilons", "field_width", "study", "grids"}
-
 VERIFY_CHECKS = (
     "energy_balance", "energy_inequality", "monotone_bounds", "schwarz",
     "hardy", "representation", "quasi_derivative", "negative_control",
 )
+
+# The config schema, one key set for every subcommand: {section: {key: (type,
+# default)}}, top-level keys as (type, default).  A float is any JSON number
+# but not a bool, an int a JSON integer but not a bool, [type] a nonempty list
+# of that type; a None default makes the key required.  A bare type (the
+# generator param tables in fieldgen) is optional with the builder's default.
+SCHEMA = {
+    "grid": {"n": (int, None), "L": (float, None)},
+    "params": {"nu": (float, 1.0), "rho": (float, 1.0)},
+    "initial": {"generator": (str, "solenoidal_gaussian"), "params": (dict, {})},
+    "forcing": {"generator": (str, "none"), "params": (dict, {})},
+    "times": {"start": (float, 0.0), "end": (float, 1.0), "count": (int, 10)},
+    "checks": ([str], ["energy_balance", "energy_inequality", "monotone_bounds"]),
+    "epsilons": ([float], [1.0, 0.5, 0.25]),
+    "field_width": (float, 1.0),
+    "grids": ([int], [16, 24, 32]),
+    "study": (str, "representation"),
+    "output": (str, "out"),
+}
+
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", dict: "an object"}
 
 
 def _require(cond, msg):
@@ -40,90 +59,83 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
-def _number(sec, key, name, default=None):
-    """A JSON number (not a bool, string or null) at sec[key], as a float."""
-    value = sec.get(key, default)
-    _require(type(value) in (int, float), f"{name} must be a number, got {value!r}")
-    return float(value)
+def _value(value, typ, name):
+    """value checked against one schema type; a float key yields a float."""
+    if isinstance(typ, list):
+        _require(type(value) is list and value, f"{name} must be a nonempty list, got {value!r}")
+        return [_value(v, typ[0], f"{name}[{i}]") for i, v in enumerate(value)]
+    _require(type(value) is typ or (typ is float and type(value) is int),
+             f"{name} must be {_TYPE_NAMES[typ]}, got {value!r}")
+    return float(value) if typ is float else value
 
 
-def _section(cfg, key, allowed, required=()):
-    sec = cfg.get(key, {})
-    _require(isinstance(sec, dict), f"{key} must be an object")
-    unknown = set(sec) - set(allowed)
-    _require(not unknown, f"unknown key(s) in {key}: {sorted(unknown)}")
-    for r in required:
-        _require(r in sec, f"{key}.{r} is required")
-    return sec
+def _checked(raw, table, where=None):
+    """The JSON object raw checked against a schema table, defaults filled in."""
+    _require(type(raw) is dict, f"{where or 'config'} must be an object")
+    unknown = sorted(set(raw) - set(table))
+    _require(not unknown, f"unknown key(s) in {where or 'config'}: {unknown}")
+    out = {}
+    for key, spec in table.items():
+        name = f"{where}.{key}" if where else key
+        if isinstance(spec, dict):
+            out[key] = _checked(raw.get(key, {}), spec, name)
+        elif isinstance(spec, tuple):
+            _require(key in raw or spec[1] is not None, f"{name} is required")
+            out[key] = _value(raw.get(key, spec[1]), spec[0], name)
+        elif key in raw:
+            out[key] = _value(raw[key], spec, name)
+    return out
+
+
+def _generator(sec, registry, where):
+    name = sec["generator"]
+    _require(name in registry, f"{where}.generator: unknown generator '{name}'")
+    return name, _checked(sec["params"], registry[name][1], f"{where}.params")
 
 
 class ExperimentConfig:
-    """Validated experiment description (fail-fast on unknown keys)."""
+    """Validated experiment description: the schema, then the range rules."""
 
     def __init__(self, raw, command):
-        _require(isinstance(raw, dict), "config must be a JSON object")
-        unknown = set(raw) - _ALLOWED_KEYS
-        _require(not unknown, f"unknown config key(s): {sorted(unknown)}")
         self.command = command
-
-        g = _section(raw, "grid", ("n", "L"), required=("n", "L"))
-        L = _number(g, "L", "grid.L")
+        c = _checked(raw, SCHEMA)
         try:
-            self.grid = make_grid(g["n"], L)
+            self.grid = make_grid(c["grid"]["n"], c["grid"]["L"])
         except ValueError as e:
             raise ConfigError(f"grid: {e}") from e
-
-        p = _section(raw, "params", ("nu", "rho"))
-        nu, rho = _number(p, "nu", "params.nu", 1.0), _number(p, "rho", "params.rho", 1.0)
         try:
-            self.params = FluidParams(nu, rho)
+            self.params = FluidParams(**c["params"])
         except ValueError as e:
             raise ConfigError(f"params: {e}") from e
+        self.initial_name, self.initial_params = _generator(
+            c["initial"], fieldgen.INITIAL_GENERATORS, "initial")
+        self.forcing_name, self.forcing_params = _generator(
+            c["forcing"], fieldgen.FORCING_GENERATORS, "forcing")
 
-        ic = _section(raw, "initial", ("generator", "params"))
-        self.initial_name = ic.get("generator", "solenoidal_gaussian")
-        self.initial_params = ic.get("params", {})
-        _require(self.initial_name in fieldgen.INITIAL_GENERATORS,
-                 f"initial.generator: unknown generator '{self.initial_name}'")
-
-        fc = _section(raw, "forcing", ("generator", "params"))
-        self.forcing_name = fc.get("generator", "none")
-        self.forcing_params = fc.get("params", {})
-        _require(self.forcing_name in fieldgen.FORCING_GENERATORS,
-                 f"forcing.generator: unknown generator '{self.forcing_name}'")
-
-        tm = _section(raw, "times", ("start", "end", "count"))
-        self.t_start = _number(tm, "start", "times.start", 0.0)
-        self.t_end = _number(tm, "end", "times.end", 1.0)
-        self.t_count = tm.get("count", 10)
+        self.t_start, self.t_end, self.t_count = (c["times"][k] for k in ("start", "end", "count"))
         _require(self.t_start >= 0.0, "times.start must be >= 0")
         _require(self.t_end > self.t_start, "times.end must exceed times.start")
-        _require(type(self.t_count) is int and self.t_count >= 1,  # not bool, not 3.9
-                 "times.count must be an integer >= 1")
+        _require(self.t_count >= 1, "times.count must be >= 1")
 
-        eps = raw.get("epsilons", [1.0, 0.5, 0.25])
-        _require(isinstance(eps, list) and all(type(e) in (int, float) and e > 0 for e in eps),
-                 "epsilons must be a list of positive numbers")
-        self.epsilons = [float(e) for e in eps]
-        self.field_width = _number(raw, "field_width", "field_width", 1.0)
+        self.epsilons = c["epsilons"]
+        _require(len(self.epsilons) >= 2 and all(e > 0 for e in self.epsilons),
+                 f"epsilons must list >= 2 positive numbers, got {self.epsilons}")
+        self.field_width = c["field_width"]
+        _require(self.field_width > 0, "field_width must be > 0")
 
-        grids = raw.get("grids", [16, 24, 32])
-        _require(isinstance(grids, list) and len(grids) >= 2, "grids must list >= 2 sizes")
+        _require(len(c["grids"]) >= 2, "grids must list >= 2 sizes")
         try:
-            self.grids = [make_grid(n, self.grid.L) for n in grids]
+            self.grids = [make_grid(n, self.grid.L) for n in c["grids"]]
         except ValueError as e:
-            raise ConfigError(f"grids: {e} (got {grids})") from e
-        self.study = raw.get("study", "representation")
+            raise ConfigError(f"grids: {e} (got {c['grids']})") from e
+        self.study = c["study"]
         _require(self.study in ("representation", "quasi_derivative", "energy_balance"),
                  f"study: unknown study '{self.study}'")
 
-        checks = raw.get("checks", ["energy_balance", "energy_inequality", "monotone_bounds"])
-        _require(isinstance(checks, list) and checks, "checks must be a nonempty list")
-        for c in checks:
-            _require(c in VERIFY_CHECKS, f"checks: unknown check '{c}'")
-        self.checks = checks
-
-        self.output = raw.get("output", "out")
+        self.checks = c["checks"]
+        for name in self.checks:
+            _require(name in VERIFY_CHECKS, f"checks: unknown check '{name}'")
+        self.output = c["output"]
 
     def times(self):
         return list(np.linspace(self.t_start, self.t_end, self.t_count))
@@ -256,8 +268,8 @@ def _mollify_study(cfg, out_dir):
         distances.append(d)
         rows.append(",".join(_fmt(v) for v in (eps, mass_err, d, n1 / n0, sa)))
     ratios = [b / a for a, b in zip(distances, distances[1:])]
-    reports.append(make_report("mollifier-strong-convergence", max(ratios) if ratios else 0.0,
-                               1.0, 0.0, {"epsilons": eps_sorted, "distances": distances}))
+    reports.append(make_report("mollifier-strong-convergence", max(ratios), 1.0, 0.0,
+                               {"epsilons": eps_sorted, "distances": distances}))
     with open(os.path.join(out_dir, "mollify.csv"), "w", newline="\n") as f:
         f.write("\n".join(rows) + "\n")
     return reports
@@ -287,7 +299,7 @@ def _convergence_study(cfg, out_dir):
             rep = energy.energy_balance_residual(series, states, None, cfg.params,
                                                  rel_tol=1.0)
             values.append(rep.lhs)
-    worst_ratio = max(b / a for a, b in zip(values, values[1:])) if len(values) > 1 else 0.0
+    worst_ratio = max(b / a for a, b in zip(values, values[1:]))
     reports.append(make_report(f"{cfg.study}-refinement-decrease", worst_ratio, 1.0, 0.0,
                                {"grids": [g.n for g in cfg.grids], "values": values}))
     return reports

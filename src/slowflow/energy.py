@@ -77,10 +77,8 @@ def energy_balance_residual(series, states, forcing, params=None, rel_tol=0.02):
     t = series.times
     J1sq = series.column("J1") ** 2
     W = series.column("W")
-    if forcing is None:
-        work_rate = np.zeros_like(t)
-    else:
-        work_rate = np.zeros_like(t)
+    work_rate = np.zeros_like(t)
+    if forcing is not None:
         for k, s in enumerate(states):
             X = forcing.at(s.t)
             work_rate[k] = sum(

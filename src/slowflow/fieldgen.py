@@ -59,7 +59,7 @@ def solenoidal_gaussian(grid, width=1.0, center=(0.0, 0.0, 0.0),
     return VectorField3.from_arrays(grid, *a)
 
 
-def random_solenoidal(grid, seed, n_vortices=4, width_range=(0.7, 1.3), amplitude=1.0):
+def random_solenoidal(grid, seed=0, n_vortices=4, width_range=(0.7, 1.3), amplitude=1.0):
     """Seeded superposition of randomly placed and oriented vortices."""
     rng = np.random.default_rng(seed)
     parts = [np.zeros((grid.n,) * 3) for _ in range(3)]
@@ -153,6 +153,8 @@ def solenoidal_gaussian_laplacian(grid, width=1.0, center=(0.0, 0.0, 0.0),
 
 def gradient_pulse_forcing(grid, width=1.0, amplitude=1.0, t_scale=1.0):
     """Irrotational forcing X = q(t) grad(phi), phi a Gaussian bump."""
+    if not (width > 0 and t_scale > 0):
+        raise ValueError(f"width and t_scale must be > 0, got {width} and {t_scale}")
     X1, X2, X3 = grid.meshgrid()
     r2 = X1 ** 2 + X2 ** 2 + X3 ** 2
     phi = amplitude * np.exp(-r2 / (2.0 * width ** 2))
@@ -168,6 +170,8 @@ def gradient_pulse_forcing(grid, width=1.0, amplitude=1.0, t_scale=1.0):
 def solenoidal_pulse_forcing(grid, width=1.0, amplitude=1.0, t_scale=1.0,
                              axis_vec=(0.0, 0.0, 1.0)):
     """Divergence-free forcing: time-damped curl-Gaussian."""
+    if not (width > 0 and t_scale > 0):
+        raise ValueError(f"width and t_scale must be > 0, got {width} and {t_scale}")
     base = _curl_gaussian_arrays(grid, width, (0.0, 0.0, 0.0), axis_vec, amplitude)
 
     def sampler(t):
@@ -178,59 +182,33 @@ def solenoidal_pulse_forcing(grid, width=1.0, amplitude=1.0, t_scale=1.0,
 
 
 # --- named registries for experiment configs -------------------------------
-
-def _ic_zero(grid, params):
-    return VectorField3.zeros(grid)
-
-
-def _ic_solenoidal_gaussian(grid, params):
-    return solenoidal_gaussian(grid, width=params.get("width", 1.0),
-                               amplitude=params.get("amplitude", 1.0))
-
-
-def _ic_random_solenoidal(grid, params):
-    return random_solenoidal(grid, seed=int(params.get("seed", 0)),
-                             n_vortices=int(params.get("n_vortices", 4)),
-                             amplitude=params.get("amplitude", 1.0))
-
+# name -> (builder, {param: type}); a config's params are checked against the
+# type table (see cli) and passed as keywords, so the builders' own defaults
+# are the only defaults
 
 INITIAL_GENERATORS = {
-    "zero": _ic_zero,
-    "solenoidal_gaussian": _ic_solenoidal_gaussian,
-    "random_solenoidal": _ic_random_solenoidal,
+    "zero": (VectorField3.zeros, {}),
+    "solenoidal_gaussian": (solenoidal_gaussian, {"width": float, "amplitude": float}),
+    "random_solenoidal": (random_solenoidal,
+                          {"seed": int, "n_vortices": int, "amplitude": float}),
 }
 
-
-def _f_none(grid, params):
-    return None
-
-
-def _f_solenoidal_pulse(grid, params):
-    return solenoidal_pulse_forcing(grid, width=params.get("width", 1.0),
-                                    amplitude=params.get("amplitude", 1.0),
-                                    t_scale=params.get("t_scale", 1.0))
-
-
-def _f_gradient_pulse(grid, params):
-    return gradient_pulse_forcing(grid, width=params.get("width", 1.0),
-                                  amplitude=params.get("amplitude", 1.0),
-                                  t_scale=params.get("t_scale", 1.0))
-
-
 FORCING_GENERATORS = {
-    "none": _f_none,
-    "solenoidal_pulse": _f_solenoidal_pulse,
-    "gradient_pulse": _f_gradient_pulse,
+    "none": (lambda grid: None, {}),
+    "solenoidal_pulse": (solenoidal_pulse_forcing,
+                         {"width": float, "amplitude": float, "t_scale": float}),
+    "gradient_pulse": (gradient_pulse_forcing,
+                       {"width": float, "amplitude": float, "t_scale": float}),
 }
 
 
 def initial_condition(name, grid, params=None):
     if name not in INITIAL_GENERATORS:
         raise ValueError(f"unknown initial-condition generator '{name}'")
-    return INITIAL_GENERATORS[name](grid, params or {})
+    return INITIAL_GENERATORS[name][0](grid, **(params or {}))
 
 
 def forcing(name, grid, params=None):
     if name not in FORCING_GENERATORS:
         raise ValueError(f"unknown forcing generator '{name}'")
-    return FORCING_GENERATORS[name](grid, params or {})
+    return FORCING_GENERATORS[name][0](grid, **(params or {}))

@@ -313,12 +313,12 @@ def residual_check(state, state_prev, X_t, params, tol=None):
     sup_terms = []
     res_max = 0.0
     res_l2_sq = 0.0
+    pm = ScalarField(grid, 0.5 * (state.p.samples + state_prev.p.samples))
     for i in range(3):
         um = 0.5 * (state.u.components[i].samples + state_prev.u.components[i].samples)
         um_f = ScalarField(grid, um)
         lap = sum(derive(um_f, ax, 2).samples for ax in (1, 2, 3))
         dudt = (state.u.components[i].samples - state_prev.u.components[i].samples) / dt
-        pm = ScalarField(grid, 0.5 * (state.p.samples + state_prev.p.samples))
         gradp = derive(pm, i + 1).samples
         Xi = X_t.components[i].samples if X_t is not None else 0.0
         R = nu * lap - dudt - gradp / rho + Xi

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,8 +256,28 @@ def test_override_on_malformed_config_is_a_config_error(tmp_path, capsys, raw, f
     ("solve", {"times": {"start": None}}, "times.start"),
     ("solve", {"times": {"end": "0.6"}}, "times.end"),
     ("mollify-study", {"field_width": None}, "field_width"),
+    ("solve", {"output": 5}, "output"),
+    ("solve", {"output": None}, "output"),
+    ("solve", {"initial": {"generator": ["x"]}}, "initial.generator"),
+    ("solve", {"initial": {"params": {"amplitude": None}}}, "initial.params.amplitude"),
+    ("solve", {"initial": {"generator": "solenoidal_gaussian", "params": {"width": "1"}}},
+     "initial.params.width"),
+    ("solve", {"forcing": {"generator": "gradient_pulse", "params": {"t_scale": "1"}}},
+     "forcing.params.t_scale"),
+    ("solve", {"initial": {"generator": "solenoidal_gaussian", "params": {"widht": 1.0}}},
+     "widht"),
+    ("solve", {"initial": {"generator": "random_solenoidal", "params": {"seed": 2.7}}},
+     "initial.params.seed"),
+    ("solve", {"initial": {"generator": "random_solenoidal", "params": {"seed": "x"}}},
+     "initial.params.seed"),
+    ("mollify-study", {"epsilons": []}, "epsilons"),
+    ("mollify-study", {"epsilons": [2.0]}, "epsilons"),
+    ("mollify-study", {"field_width": 0}, "field_width"),
 ], ids=["fractional-count", "fractional-grids", "bool-epsilon", "string-L", "string-nu",
-        "bool-nu", "null-rho", "null-start", "string-end", "null-field-width"])
+        "bool-nu", "null-rho", "null-start", "string-end", "null-field-width",
+        "int-output", "null-output", "list-generator", "null-param", "string-width",
+        "string-t-scale", "unknown-param", "fractional-seed", "string-seed",
+        "no-epsilons", "one-epsilon", "zero-field-width"])
 def test_config_numbers_are_not_truncated_or_coerced(tmp_path, capsys, command, extra, field):
     path = _write_config(tmp_path, extra)
     code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
@@ -272,6 +293,23 @@ def test_solver_error_is_not_labelled_a_config_error(tmp_path, capsys):
     code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: under-resolved")
+
+
+@pytest.mark.parametrize("generator", ["gradient_pulse", "solenoidal_pulse"])
+def test_zero_time_scale_is_a_solver_error(tmp_path, capsys, generator):
+    path = _write_config(tmp_path, {"forcing": {"generator": generator,
+                                                "params": {"t_scale": 0}}})
+    code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: width and t_scale must be > 0")
+
+
+def test_readme_example_config_is_valid():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    raw = json.loads(cli_section.split("```json\n", 1)[1].split("```", 1)[0])
+    for command in ("solve", "verify", "mollify-study", "convergence-study"):
+        ExperimentConfig(raw, command)
 
 
 def test_grid_L_override(tmp_path):
