@@ -122,6 +122,9 @@ class ExperimentConfig:
                  f"epsilons must list >= 2 positive numbers, got {self.epsilons}")
         self.field_width = c["field_width"]
         _require(self.field_width > 0, "field_width must be > 0")
+        eps = min(self.epsilons)
+        _require(command != "mollify-study" or eps >= 2 * self.grid.h,
+                 f"epsilons: {eps} under-resolved on n={self.grid.n} (needs >= 2h)")
 
         _require(len(c["grids"]) >= 2, "grids must list >= 2 sizes")
         try:
@@ -178,10 +181,15 @@ def _solve_pipeline(cfg, out_dir, write_fields=True):
         with open(os.path.join(out_dir, "manifest.json"), "w") as f:
             json.dump(manifest, f, sort_keys=True, indent=2)
             f.write("\n")
-    return u0, forcing, states, series
+    return forcing, states, series
 
 
-def _run_verify_checks(cfg, u0, forcing, states, series):
+def _probe(grid):
+    """The scalar test field of the hardy and representation checks."""
+    return fieldgen.gaussian_bump(grid, width=min(1.0, grid.L / 6.0))
+
+
+def _run_verify_checks(cfg, forcing, states, series):
     reports = []
     for check in cfg.checks:
         if check == "energy_balance":
@@ -189,17 +197,14 @@ def _run_verify_checks(cfg, u0, forcing, states, series):
         elif check == "energy_inequality":
             reports.append(energy.energy_inequality_check(series))
         elif check == "monotone_bounds":
-            reports.extend(energy.bound_suite(u0, states, forcing, cfg.params, scaling=False))
+            reports.extend(energy.bound_suite(None, states, forcing, cfg.params))
         elif check == "schwarz":
             u = states[-1].u
             reports.append(analysis.schwarz_check(u.u1, u.u2))
         elif check == "hardy":
-            probe = fieldgen.gaussian_bump(cfg.grid, width=min(1.0, cfg.grid.L / 6.0))
-            reports.append(analysis.hardy_check(probe))
+            reports.append(analysis.hardy_check(_probe(cfg.grid)))
         elif check == "representation":
-            probe = fieldgen.gaussian_bump(cfg.grid, width=min(1.0, cfg.grid.L / 6.0))
-            _, rep = analysis.representation_reconstruct(probe)
-            reports.append(rep)
+            reports.append(analysis.representation_reconstruct(_probe(cfg.grid))[1])
         elif check == "quasi_derivative":
             reports.append(_quasi_derivative_report(cfg.grid))
         elif check == "negative_control":
@@ -249,8 +254,6 @@ def _mollify_study(cfg, out_dir):
     distances = []
     eps_sorted = sorted(cfg.epsilons, reverse=True)
     for eps in eps_sorted:
-        if eps < 2 * grid.h:
-            raise ConfigError(f"epsilons: {eps} under-resolved on n={grid.n} (needs >= 2h)")
         k = mollifier.make_kernel(eps)
         mass_err = abs(mollifier.kernel_grid_mass(k, grid) - 1.0)
         tol = 5e-4 if eps >= 8 * grid.h else 0.1
@@ -280,8 +283,7 @@ def _convergence_study(cfg, out_dir):
     values = []
     for grid in cfg.grids:
         if cfg.study == "representation":
-            probe = fieldgen.gaussian_bump(grid, width=min(1.0, grid.L / 6.0))
-            _, rep = analysis.representation_reconstruct(probe)
+            _, rep = analysis.representation_reconstruct(_probe(grid))
             rep.name = f"representation-n{grid.n}"
             reports.append(rep)
             values.append(rep.lhs)
@@ -312,8 +314,7 @@ def run_experiment(cfg, out_dir):
     if cfg.command == "solve":
         _solve_pipeline(cfg, out_dir, write_fields=True)
     elif cfg.command == "verify":
-        u0, forcing, states, series = _solve_pipeline(cfg, out_dir, write_fields=False)
-        reports = _run_verify_checks(cfg, u0, forcing, states, series)
+        reports = _run_verify_checks(cfg, *_solve_pipeline(cfg, out_dir, write_fields=False))
     elif cfg.command == "mollify-study":
         reports = _mollify_study(cfg, out_dir)
     elif cfg.command == "convergence-study":

@@ -29,6 +29,8 @@ import scipy.fft as sfft
 CORNER_CUBE_INV_R2 = 1.9185177746113493
 # Integral of 1/|z| over the unit corner cube [0,1]^3 (box integral B3(-1)).
 CORNER_CUBE_INV_R = 1.1900386819102190
+# Half-width in cells of the block of exact cell averages around a singularity.
+NEAR = 3
 
 
 def fft_workers():
@@ -196,36 +198,35 @@ def _half_offset_inv_r2_averages(near):
     return block
 
 
-def inverse_square_weights(grid, near=3):
+def inverse_square_weights(grid):
     """Cell-averaged samples of 1/|y|^2 on the grid (origin at the center vertex).
 
     Far cells use the midpoint value plus the (h^2/24) Laplacian correction
-    (the second-order term of the exact cell average); cells within ``near``
+    (the second-order term of the exact cell average); cells within ``NEAR``
     of the origin use exact averages.
     """
     X1, X2, X3 = grid.meshgrid()
     R2 = X1 ** 2 + X2 ** 2 + X3 ** 2
     h = grid.h
     W = 1.0 / R2 + (h * h / 12.0) / R2 ** 2
-    near = min(near, grid.n // 2)
-    sl = slice(grid.n // 2 - near, grid.n // 2 + near)
-    W[sl, sl, sl] = _half_offset_inv_r2_averages(near) / (h * h)
+    sl = slice(grid.n // 2 - NEAR, grid.n // 2 + NEAR)
+    W[sl, sl, sl] = _half_offset_inv_r2_averages(NEAR) / (h * h)
     return W
 
 
-def newton_kernel(grid, near=3):
+def newton_kernel(grid):
     """Offset kernel for the Newtonian potential 1/(4 pi r), full lattice."""
     o2 = grid.offsets() ** 2
     R2 = o2[:, None, None] + o2[None, :, None] + o2[None, None, :]
     c = grid.n - 1
     R2[c, c, c] = 1.0
     K = 1.0 / (4.0 * np.pi * np.sqrt(R2))
-    sl = slice(c - near, c + near + 1)
-    K[sl, sl, sl] = _lattice_cell_averages(near) / grid.h
+    sl = slice(c - NEAR, c + NEAR + 1)
+    K[sl, sl, sl] = _lattice_cell_averages(NEAR) / grid.h
     return K
 
 
-def dipole_kernels(grid, near=3):
+def dipole_kernels(grid):
     """Offset kernels K_i(z) = z_i/(4 pi |z|^3), i = 1,2,3, full lattice.
 
     The kernel is harmonic away from 0 (midpoint values are 4th-order cell
@@ -237,8 +238,8 @@ def dipole_kernels(grid, near=3):
     c = grid.n - 1
     R2[c, c, c] = 1.0
     denom = 4.0 * np.pi * R2 ** 1.5
-    near_block = _dipole_cell_averages(near) / (grid.h * grid.h)
-    sl = slice(c - near, c + near + 1)
+    near_block = _dipole_cell_averages(NEAR) / (grid.h * grid.h)
+    sl = slice(c - NEAR, c + NEAR + 1)
     kernels = []
     for comp in range(3):
         K = off.reshape([-1 if ax == comp else 1 for ax in range(3)]) / denom

@@ -1,13 +1,12 @@
-"""Time-series diagnostics, the energy balance and its inequality form, and
-the bound suite (monotone decay, scaling exponents, forced-response ratios,
-Hölder-modulus probe)."""
+"""Time-series diagnostics, the energy balance and its inequality form, the
+bound suite (monotone decay, scaling exponents, forced-response ratios), and
+the Hölder-modulus probe."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (_derivatives, _norms, flow_energy, sample_diagnostics, seminorm_jm,
-                     sup_norm)
+from .fields import _derivatives, _norms, flow_energy, sample_diagnostics, sup_norm
 from .report import make_report, make_value_report
 
 __all__ = [
@@ -164,28 +163,22 @@ def _scaling_report(name, t, ratio, expected):
                              {"points": len(t), "t_span": float(t[-1] / t[0])})
 
 
-def bound_suite(u0, states, forcing, params, scaling=False, holder=None):
-    """Monotone decay (25/27/28), decay exponents (26/29/30), forced-response
-    ratio bounds (34/35), and optionally the Hölder-modulus fit (36).
+def bound_suite(u0, states, forcing, params, scaling=False):
+    """Monotone decay (25/27/28), decay exponents (26/29/30) and forced-response
+    ratio bounds (34/35).
 
     Scaling exponents are fitted on the self-similar normalizations
     V/J1 ~ t^{-1/4}, D_m/sqrt(W) ~ t^{-(2m+3)/4} and J_m/sqrt(W) ~ t^{-m/2};
     they require at least 5 positive-time samples spanning a decade.
 
-    Each state is differentiated only as far as its reports read:
-
-    - unforced, no scaling fit: W, V and J1, from the 9 first-derivative
-      stencils of each state;
-    - unforced with the scaling fit: the full ``sample_diagnostics`` of each
-      state, since J2 needs the second derivatives;
-    - forced: J1 and D1 from the same first-order pass.
-
-    The forcing, when given, is sampled once per state; that sample gives
-    both ||X|| and sup|X|.  ``u0`` is not used.
+    Each state takes one derivative pass, ``_norms``: the 9 first-derivative
+    stencils, and the second derivatives too only for the scaling fit of an
+    unforced run (J2).  V and W are read only when unforced.  The forcing,
+    when given, is sampled once per state; that sample gives both ||X|| and
+    sup|X|.  ``u0`` is not used.
     """
     _check_states(states)
     t = np.array([float(s.t) for s in states])
-    reports = []
     fnorms, sup_f = [], []
     if forcing is not None:
         for s in states:
@@ -193,56 +186,25 @@ def bound_suite(u0, states, forcing, params, scaling=False, holder=None):
             fnorms.append(_forcing_l2(X))
             sup_f.append(sup_norm(X))
     forced = any(f > 0 for f in fnorms)
+    fit = scaling and not forced
+    pos = t > 0
+    if fit and (pos.sum() < 5 or t[pos].max() / t[pos].min() < 10.0):
+        raise ValueError("fewer than 5 usable time samples spanning a decade")
+    norms = [_norms(s.u, 2 if fit else 1) for s in states]
+    J1 = np.array([j[0] for j, _ in norms])
+    D1 = np.array([d1 for _, d1 in norms])
 
-    if not forced:
-        pos = t > 0
-        want_scaling = scaling is True or (
-            scaling == "auto" and pos.sum() >= 5 and t[pos].max() / t[pos].min() >= 10.0
-        )
-        if scaling is True and (pos.sum() < 5 or t[pos].max() / t[pos].min() < 10.0):
-            raise ValueError("fewer than 5 usable time samples spanning a decade")
-        if want_scaling:
-            samples = [sample_diagnostics(s.u, s.t) for s in states]
-            V, W, J1, J2, D1 = (np.array([getattr(d, name) for d in samples])
-                                for name in ("V", "W", "J1", "J2", "D1"))
-        else:
-            V = np.array([sup_norm(s.u) for s in states])
-            W = np.array([flow_energy(s.u) for s in states])
-            J1 = np.array([seminorm_jm(s.u, 1) for s in states])
-        reports.append(_monotone_report("sup-speed-monotone", V, 1e-10))
-        reports.append(_monotone_report("energy-monotone", W, 1e-10))
-        reports.append(_monotone_report("gradient-seminorm-monotone", J1, 1e-10))
-
-        if want_scaling:
-            tp = t[pos]
-            Vp, Wp, J1p, J2p, D1p = V[pos], W[pos], J1[pos], J2[pos], D1[pos]
-            sqW = np.sqrt(Wp)
-            reports.append(_scaling_report("speed-over-gradient-decay", tp, Vp / J1p, -0.25))
-            reports.append(_scaling_report("sup-speed-decay-rate", tp, Vp / sqW, -0.75))
-            reports.append(_scaling_report("sup-gradient-decay-rate", tp, D1p / sqW, -1.25))
-            reports.append(_scaling_report("gradient-seminorm-decay-rate", tp, J1p / sqW, -0.5))
-            reports.append(_scaling_report("second-seminorm-decay-rate", tp, J2p / sqW, -1.0))
-    else:
+    if forced:
         # forced-response ratio bounds; meaningful for runs started from rest
-        J1, D1 = [], []
-        for s in states:
-            (j1,), d1 = _norms(s.u, 1)
-            J1.append(j1)
-            D1.append(d1)
-        ratios_34, ratios_35 = [], []
-        for k in range(1, len(t)):
-            rhs34 = abel_integral(t[: k + 1], fnorms[: k + 1], 0.5, params.nu)
-            rhs35 = abel_integral(t[: k + 1], sup_f[: k + 1], 0.5, params.nu)
-            if rhs34 > 0:
-                ratios_34.append(J1[k] / rhs34)
-            if rhs35 > 0:
-                ratios_35.append(D1[k] / rhs35)
-        for name, ratios, note in (
-            ("forced-gradient-ratio", ratios_34, None),
-            ("forced-sup-derivative-ratio", ratios_35,
+        reports = []
+        for name, fn, values, note in (
+            ("forced-gradient-ratio", fnorms, J1, None),
+            ("forced-sup-derivative-ratio", sup_f, D1,
              "stated with '=' in the source relation; certified as an upper bound"),
         ):
-            ratios = np.asarray(ratios)
+            rhs = [abel_integral(t[: k + 1], fn[: k + 1], 0.5, params.nu)
+                   for k in range(1, len(t))]
+            ratios = np.asarray([v / r for v, r in zip(values[1:], rhs) if r > 0])
             ok = ratios.size > 0 and bool(np.all(np.isfinite(ratios)))
             med = float(np.median(ratios)) if ratios.size else 0.0
             worst = float(ratios.max()) if ratios.size else 0.0
@@ -250,11 +212,23 @@ def bound_suite(u0, states, forcing, params, scaling=False, holder=None):
             if note:
                 md["note"] = note
             # bounded + stable: the worst ratio stays within 3x the median
-            rep = make_report(name, worst, 3.0 * med if ok else 0.0, 0.0, md)
-            reports.append(rep)
+            reports.append(make_report(name, worst, 3.0 * med if ok else 0.0, 0.0, md))
+        return reports
 
-    if holder is not None:
-        reports.append(holder_half_report(**holder))
+    V = np.array([sup_norm(s.u) for s in states])
+    W = np.array([flow_energy(s.u) for s in states])
+    reports = [_monotone_report("sup-speed-monotone", V, 1e-10),
+               _monotone_report("energy-monotone", W, 1e-10),
+               _monotone_report("gradient-seminorm-monotone", J1, 1e-10)]
+    if fit:
+        J2 = np.array([j[1] for j, _ in norms])
+        tp, Vp, J1p, J2p, D1p = t[pos], V[pos], J1[pos], J2[pos], D1[pos]
+        sqW = np.sqrt(W[pos])
+        reports.append(_scaling_report("speed-over-gradient-decay", tp, Vp / J1p, -0.25))
+        reports.append(_scaling_report("sup-speed-decay-rate", tp, Vp / sqW, -0.75))
+        reports.append(_scaling_report("sup-gradient-decay-rate", tp, D1p / sqW, -1.25))
+        reports.append(_scaling_report("gradient-seminorm-decay-rate", tp, J1p / sqW, -0.5))
+        reports.append(_scaling_report("second-seminorm-decay-rate", tp, J2p / sqW, -1.0))
     return reports
 
 

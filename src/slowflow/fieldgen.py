@@ -55,12 +55,16 @@ def _curl_gaussian_arrays(grid, width, center, axis_vec, amplitude):
 def solenoidal_gaussian(grid, width=1.0, center=(0.0, 0.0, 0.0),
                         axis_vec=(0.0, 0.0, 1.0), amplitude=1.0):
     """Divergence-free single-vortex field: curl of a Gaussian vector potential."""
+    if not width > 0:
+        raise ValueError(f"width must be > 0, got {width}")
     a = _curl_gaussian_arrays(grid, width, center, axis_vec, amplitude)
     return VectorField3.from_arrays(grid, *a)
 
 
 def random_solenoidal(grid, seed=0, n_vortices=4, width_range=(0.7, 1.3), amplitude=1.0):
     """Seeded superposition of randomly placed and oriented vortices."""
+    if n_vortices < 1:
+        raise ValueError(f"n_vortices must be >= 1, got {n_vortices}")
     rng = np.random.default_rng(seed)
     parts = [np.zeros((grid.n,) * 3) for _ in range(3)]
     for _ in range(n_vortices):

@@ -231,8 +231,6 @@ class TestBoundSuiteFirstOrder:
     @pytest.mark.parametrize("scaling,times,fit", [
         (False, DECADE, False),
         (True, DECADE, True),
-        ("auto", DECADE, True),
-        ("auto", (0.0, 0.2, 0.4, 0.8), False),
     ])
     def test_unforced_matches_full_series(self, grid16, scaling, times, fit):
         u0, states = _heat_states(grid16, seed=4, times=times)
@@ -249,7 +247,7 @@ class TestBoundSuiteFirstOrder:
     def test_zero_forcing_matches_full_series(self, grid16):
         u0, states = _heat_states(grid16, seed=5, times=(0.0, 0.1, 0.3))
         F = ForcingField.zero(grid16)
-        got = bound_suite(u0, states, F, PAR, scaling="auto")
+        got = bound_suite(u0, states, F, PAR)
         assert [vars(r) for r in got] == [vars(r) for r in _bound_suite_oracle(states, F, PAR, False)]
 
     def test_monotone_branch_takes_first_derivatives_only(self, monkeypatch, grid16):

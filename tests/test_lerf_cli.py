@@ -273,11 +273,12 @@ def test_override_on_malformed_config_is_a_config_error(tmp_path, capsys, raw, f
     ("mollify-study", {"epsilons": []}, "epsilons"),
     ("mollify-study", {"epsilons": [2.0]}, "epsilons"),
     ("mollify-study", {"field_width": 0}, "field_width"),
+    ("mollify-study", {"epsilons": [2.0, 1.0]}, "epsilons"),
 ], ids=["fractional-count", "fractional-grids", "bool-epsilon", "string-L", "string-nu",
         "bool-nu", "null-rho", "null-start", "string-end", "null-field-width",
         "int-output", "null-output", "list-generator", "null-param", "string-width",
         "string-t-scale", "unknown-param", "fractional-seed", "string-seed",
-        "no-epsilons", "one-epsilon", "zero-field-width"])
+        "no-epsilons", "one-epsilon", "zero-field-width", "under-resolved-epsilon"])
 def test_config_numbers_are_not_truncated_or_coerced(tmp_path, capsys, command, extra, field):
     path = _write_config(tmp_path, extra)
     code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
@@ -295,13 +296,17 @@ def test_solver_error_is_not_labelled_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: under-resolved")
 
 
-@pytest.mark.parametrize("generator", ["gradient_pulse", "solenoidal_pulse"])
-def test_zero_time_scale_is_a_solver_error(tmp_path, capsys, generator):
-    path = _write_config(tmp_path, {"forcing": {"generator": generator,
-                                                "params": {"t_scale": 0}}})
+@pytest.mark.parametrize("section,generator,params,message", [
+    ("forcing", "gradient_pulse", {"t_scale": 0}, "width and t_scale must be > 0"),
+    ("forcing", "solenoidal_pulse", {"t_scale": 0}, "width and t_scale must be > 0"),
+    ("initial", "solenoidal_gaussian", {"width": -1.0}, "width must be > 0"),
+    ("initial", "random_solenoidal", {"n_vortices": -3}, "n_vortices must be >= 1"),
+], ids=["gradient_pulse", "solenoidal_pulse", "negative-width", "negative-n-vortices"])
+def test_zero_time_scale_is_a_solver_error(tmp_path, capsys, section, generator, params, message):
+    path = _write_config(tmp_path, {section: {"generator": generator, "params": params}})
     code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: width and t_scale must be > 0")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_readme_example_config_is_valid():

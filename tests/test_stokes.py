@@ -392,6 +392,19 @@ class TestSolveLinearized:
         with pytest.raises(ValueError, match="solenoidal"):
             solve_linearized(u0, None, PAR, [0.0, 0.5])
 
+    @pytest.mark.parametrize("make_u0,accepted", [
+        (lambda g: gradient_pulse_forcing(g).at(0.0), False),
+        (lambda g: solenoidal_gaussian(g, width=1.0), True),
+        (VectorField3.zeros, True),  # J1 = 0: nothing to compare against
+    ], ids=["gradient", "solenoidal", "zero"])
+    def test_solenoidal_check(self, grid16, make_u0, accepted):
+        u0 = make_u0(grid16)
+        if accepted:
+            assert len(solve_linearized(u0, None, PAR, [0.0, 0.5])) == 2
+        else:
+            with pytest.raises(ValueError, match="not solenoidal"):
+                solve_linearized(u0, None, PAR, [0.0, 0.5])
+
     def test_rejects_bad_times(self, grid32):
         u0 = solenoidal_gaussian(grid32, width=1.0)
         with pytest.raises(ValueError, match="times"):
