@@ -167,6 +167,7 @@ def _solve_pipeline(cfg, out_dir, write_fields=True):
     forcing = cfg.forcing_field()
     states = solve_linearized(u0, forcing, cfg.params, cfg.times())
     series = energy.diagnostics_series(states, forcing, cfg.params)
+    os.makedirs(out_dir, exist_ok=True)
     write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), series)
     if write_fields:
         for k, s in enumerate(states):
@@ -308,8 +309,11 @@ def _convergence_study(cfg, out_dir):
 
 
 def run_experiment(cfg, out_dir):
-    """Run the configured pipeline; returns (exit_code, reports)."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Run the configured pipeline; returns (exit_code, reports).  A solve
+    makes ``out_dir`` only once its fields are built and solved, so a rejected
+    generator parameter or time leaves no directory behind."""
+    if cfg.command not in ("solve", "verify"):
+        os.makedirs(out_dir, exist_ok=True)
     reports = []
     if cfg.command == "solve":
         _solve_pipeline(cfg, out_dir, write_fields=True)

@@ -14,7 +14,9 @@ P X = X + grad(N * div X) the Leray projection, whose Newton convolution the
 pressure shares.  P commutes with G, so the Duhamel integral is P applied
 once to a heat-only sum; T itself is evaluated pointwise only by
 ``oseen_tensor_eval``.  The heat step and every Duhamel node apply G through
-one separable operator, ``_heat_apply``: no 3D transform runs per node.
+one separable operator, ``_heat_apply``: three matrix products on views of
+each array, no 3D transform per node.  A solve transforms the grid-only Newton
+kernel once, for every output time's projection and pressure.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erf
 
-from .convolve import convolve_offsets, newton_kernel
+from .convolve import SpectralAccumulator, newton_kernel
 from .fields import ScalarField, VectorField3, derive, divergence
 from .report import make_report
 
@@ -116,13 +118,17 @@ def heat_kernel_on_grid(grid, nu_t):
 
 def _heat_apply(arrays, grid, nu_t):
     """The unit-mass kernel k(x) k(y) k(z) / h^3 of ``_heat_factor`` applied to
-    each array: k along each axis as an n x n banded Toeplitz matrix product."""
+    each array: k along each axis as an n x n banded Toeplitz matrix T, by three
+    matrix products on reshaped views that move no axis and return C order."""
     k, R = _heat_factor(grid, nu_t)
-    lag = np.subtract.outer(np.arange(grid.n), np.arange(grid.n))
+    n = grid.n
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
     T = np.where(np.abs(lag) <= R, k[np.clip(lag + R, 0, 2 * R)], 0.0)
-    out = list(arrays)
-    for ax in (2, 1, 0):  # ending on axis 0 leaves C-ordered arrays
-        out = [np.moveaxis(np.tensordot(T, a, axes=(1, ax)), 0, ax) for a in out]
+    out = []
+    for a in arrays:
+        a = (a.reshape(n * n, n) @ T.T).reshape(n, n, n)  # axis 2
+        a = np.matmul(T, a)  # axis 1, batched over axis 0
+        out.append((T @ a.reshape(n, n * n)).reshape(n, n, n))  # axis 0
     return out
 
 
@@ -214,6 +220,18 @@ def _duhamel_taus(t, h, nu):
     return np.geomspace(tau_min, t, m)
 
 
+def _newton_convolution(grid):
+    """f -> N * f as ``convolve_offsets(f, newton_kernel(grid), h)`` computes it,
+    with the grid-only kernel built and transformed once for every call."""
+    kernel_fft = SpectralAccumulator(grid.n, grid.n - 1, grid.h).kernel_fft(newton_kernel(grid))
+
+    def apply(samples):
+        acc = SpectralAccumulator(grid.n, grid.n - 1, grid.h)
+        acc.add(acc.field_fft(samples), kernel_fft)
+        return acc.extract()
+    return apply
+
+
 def forced_response(X, params, t, assume_solenoidal=False):
     """Duhamel superposition of propagated forcing snapshots up to time t.
 
@@ -229,6 +247,12 @@ def forced_response(X, params, t, assume_solenoidal=False):
         raise ValueError("empty forcing")
     if t <= 0:
         raise ValueError("t must be > 0")
+    return _duhamel(X, params, t, None if assume_solenoidal else _newton_convolution(X.grid))[0]
+
+
+def _duhamel(X, params, t, newton):
+    """``forced_response`` projected by the Newton convolution ``newton`` (None:
+    not projected), and the forcing sample X(t) its below-floor sliver took."""
     grid = X.grid
     nu = params.nu
     taus = _duhamel_taus(t, grid.h, nu)
@@ -249,18 +273,20 @@ def forced_response(X, params, t, assume_solenoidal=False):
     H = VectorField3.from_arrays(grid, *(
         a + 0.5 * taus[0] * (x.samples + y.samples)
         for a, x, y in zip(H, X_t.components, X_t0.components)))
-    if assume_solenoidal:
-        return H
-    pot = ScalarField(grid, convolve_offsets(divergence(H).samples, newton_kernel(grid), grid.h))
-    return H + VectorField3(*(derive(pot, ax) for ax in (1, 2, 3)))
+    if newton is not None:
+        pot = ScalarField(grid, newton(divergence(H).samples))
+        H = H + VectorField3(*(derive(pot, ax) for ax in (1, 2, 3)))
+    return H, X_t
 
 
 def pressure_field(X_t, params):
     """Newtonian-potential pressure p = -rho N * (div X) of the forcing at one
     time, by the projection's Newton convolution (X must decay inside the box)."""
-    grid = X_t.grid
-    return ScalarField(grid, -params.rho * convolve_offsets(
-        divergence(X_t).samples, newton_kernel(grid), grid.h))
+    return _pressure(X_t, params, _newton_convolution(X_t.grid))
+
+
+def _pressure(X_t, params, newton):
+    return ScalarField(X_t.grid, -params.rho * newton(divergence(X_t).samples))
 
 
 def _check_solenoidal(u0):
@@ -290,12 +316,14 @@ def solve_linearized(u0, X, params, times, assume_solenoidal=False):
     _check_solenoidal(u0)
     grid = u0.grid
     u0_is_zero = all(not c.samples.any() for c in u0.components)
+    newton = _newton_convolution(grid) if X is not None and any(times) else None
     states = []
     for t in times:
         u = VectorField3.zeros(grid) if u0_is_zero else heat_propagate(u0, params, t)
         if X is not None and t > 0:
-            u = u + forced_response(X, params, t, assume_solenoidal=assume_solenoidal)
-            p = pressure_field(X.at(t), params)
+            u_forced, X_t = _duhamel(X, params, t, None if assume_solenoidal else newton)
+            u = u + u_forced
+            p = _pressure(X_t, params, newton)
         else:
             p = ScalarField.zeros(grid)
         states.append(FlowState(t=t, u=u, p=p))

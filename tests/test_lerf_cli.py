@@ -294,6 +294,7 @@ def test_solver_error_is_not_labelled_a_config_error(tmp_path, capsys):
     code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: under-resolved")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("section,generator,params,message", [
@@ -307,6 +308,7 @@ def test_zero_time_scale_is_a_solver_error(tmp_path, capsys, section, generator,
     code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "o").exists()
 
 
 def test_readme_example_config_is_valid():

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import erf
 
 from slowflow import (ScalarField, VectorField3, divergence, fields,
-                      flow_energy, make_grid, seminorm_jm, sup_norm)
+                      flow_energy, make_grid, seminorm_jm, stokes, sup_norm)
 from slowflow.convolve import (SpectralAccumulator, convolve_direct,
                                convolve_offsets, newton_kernel)
 from slowflow.fieldgen import (gradient_pulse_forcing, ramped_forcing,
@@ -11,12 +11,24 @@ from slowflow.fieldgen import (gradient_pulse_forcing, ramped_forcing,
                                solenoidal_gaussian_laplacian,
                                solenoidal_pulse_forcing)
 from slowflow.stokes import (FlowState, FluidParams, ForcingField,
-                             _duhamel_taus, _phi_from_quadrature,
+                             _duhamel_taus, _heat_apply, _heat_factor, _phi_from_quadrature,
                              forced_response, heat_kernel_on_grid, heat_propagate,
                              oseen_decay_constant, oseen_tensor_eval,
                              pressure_field, residual_check, solve_linearized)
 
 PAR = FluidParams(1.0, 1.0)
+
+
+def _heat_apply_by_tensordot(arrays, grid, nu_t):
+    """Frozen reference for ``stokes._heat_apply``: the same Toeplitz factor T,
+    applied by one tensordot and moveaxis per axis."""
+    k, R = _heat_factor(grid, nu_t)
+    lag = np.subtract.outer(np.arange(grid.n), np.arange(grid.n))
+    T = np.where(np.abs(lag) <= R, k[np.clip(lag + R, 0, 2 * R)], 0.0)
+    out = list(arrays)
+    for ax in (2, 1, 0):
+        out = [np.moveaxis(np.tensordot(T, a, axes=(1, ax)), 0, ax) for a in out]
+    return out
 
 
 class TestFluidParams:
@@ -73,6 +85,33 @@ class TestHeatPropagate:
         for a, c in zip(u.components, u0.components):
             ref = convolve_offsets(c.samples, K, grid16.h)
             np.testing.assert_allclose(a.samples, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("n", [16, 24, 40])
+    def test_separable_operator_matches_tensordot_reference(self, n, rng):
+        g = make_grid(n, 4.0)
+        arrays = [rng.standard_normal((n,) * 3) for _ in range(3)]
+        radii = []
+        for nu_t in (1e-4, 2e-3, 0.02, 0.2, 100.0):  # the last clips R at n - 1
+            radii.append(_heat_factor(g, nu_t)[1])
+            for a, ref in zip(_heat_apply(arrays, g, nu_t),
+                              _heat_apply_by_tensordot(arrays, g, nu_t)):
+                assert a.flags.c_contiguous
+                np.testing.assert_array_equal(a, ref)
+        assert radii == sorted(set(radii)) and radii[-1] == n - 1
+
+    def test_solvers_match_tensordot_reference(self, monkeypatch):
+        g, par = make_grid(24, 4.0), FluidParams(0.25, 1.0)
+        u0 = solenoidal_gaussian(g, width=0.9)
+        F = gradient_pulse_forcing(g, width=1.0, t_scale=0.5)
+
+        def solve():
+            return [heat_propagate(u0, par, 0.15)] + [
+                forced_response(F, par, 0.15, assume_solenoidal=s) for s in (False, True)]
+        new = solve()
+        monkeypatch.setattr(stokes, "_heat_apply", _heat_apply_by_tensordot)
+        for a, ref in zip(new, solve()):
+            for x, y in zip(a.components, ref.components):
+                np.testing.assert_array_equal(x.samples, y.samples)
 
     def test_kernel_mass_is_one(self, grid32):
         K, _ = heat_kernel_on_grid(grid32, 0.3)
@@ -286,11 +325,13 @@ class TestForcedResponse:
         for a, r in zip(u.components, ref):
             np.testing.assert_allclose(a.samples, r, rtol=0, atol=1e-12 * sup)
 
-    @pytest.mark.parametrize("assume_solenoidal,expected", [(False, 1), (True, 0), ("solve", 2)])
+    @pytest.mark.parametrize("assume_solenoidal,expected",
+                             [(False, 1), (True, 0), ("solve", 2), ("solve-3-times", 6)])
     def test_only_the_projection_makes_3d_transforms(self, monkeypatch, assume_solenoidal,
                                                      expected):
         """One Newton convolution for the projection; a forced solve adds one
-        for the pressure at each output time."""
+        for the pressure at each output time, and transforms the Newton
+        kernel once for all of them (``expected`` counts field transforms)."""
         calls = {"kernel_fft": 0, "field_fft": 0}
         for name in calls:
             def counting(self, a, _name=name, _orig=getattr(SpectralAccumulator, name)):
@@ -302,9 +343,21 @@ class TestForcedResponse:
         par = FluidParams(0.25, 1.0)
         if assume_solenoidal == "solve":
             solve_linearized(VectorField3.zeros(g), F, par, [0.15])
+        elif assume_solenoidal == "solve-3-times":
+            solve_linearized(VectorField3.zeros(g), F, par, [0.05, 0.1, 0.15])
         else:
             forced_response(F, par, 0.15, assume_solenoidal=assume_solenoidal)
-        assert calls == {"kernel_fft": expected, "field_fft": expected}
+        assert calls == {"kernel_fft": min(expected, 1), "field_fft": expected}
+
+    def test_forced_solve_samples_the_forcing_once_per_node_and_time(self):
+        # the forced_duhamel benchmark settings: 14 nodes, then X(t) for the
+        # below-floor sliver, which the pressure reuses
+        g, par = make_grid(24, 4.0), FluidParams(0.25, 1.0)
+        pulse = gradient_pulse_forcing(g, width=1.0, t_scale=0.5)
+        sampled = []
+        F = ForcingField(g, lambda s: sampled.append(s) or pulse.at(s))
+        solve_linearized(VectorField3.zeros(g), F, par, [0.15])
+        assert len(sampled) == len(_duhamel_taus(0.15, g.h, par.nu)) + 1 == 15
 
 
 class TestPressure:
