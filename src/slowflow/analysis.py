@@ -77,7 +77,7 @@ def time_minkowski_check(fields, times):
 def convolution_bound_check(kernel, U):
     """L2 norm squared of (kernel * U) <= (L1 mass of kernel)^2 * L2 norm squared of U.
 
-    ``kernel`` is an odd-shaped offset-lattice array (see convolve module).
+    ``kernel`` is an offset-lattice array, a 3D cube of odd side (see convolve module).
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     if not np.all(np.isfinite(kernel)):

@@ -283,14 +283,10 @@ def _convergence_study(cfg, out_dir):
     reports = []
     values = []
     for grid in cfg.grids:
-        if cfg.study == "representation":
-            _, rep = analysis.representation_reconstruct(_probe(grid))
-            rep.name = f"representation-n{grid.n}"
-            reports.append(rep)
-            values.append(rep.lhs)
-        elif cfg.study == "quasi_derivative":
-            rep = _quasi_derivative_report(grid)
-            rep.name = f"quasi-derivative-n{grid.n}"
+        if cfg.study in ("representation", "quasi_derivative"):
+            rep = (analysis.representation_reconstruct(_probe(grid))[1]
+                   if cfg.study == "representation" else _quasi_derivative_report(grid))
+            rep.name = f"{cfg.study.replace('_', '-')}-n{grid.n}"
             reports.append(rep)
             values.append(rep.lhs)
         else:  # energy_balance: only the refinement claim is judged (the

@@ -3,8 +3,8 @@
 A kernel is sampled at lattice offsets z = k*h, |k| <= R per axis (odd-shaped
 array, center = offset 0), and the convolution out(x) = h^3 * sum_y K(x - y) U(y)
 treats U as zero outside the box.  One FFT engine, ``SpectralAccumulator``,
-serves every FFT convolution; a direct-sum path exists for oracle comparisons
-on small grids.
+serves every FFT convolution; ``convolver`` transforms a kernel once for many
+fields, and a direct-sum path exists for oracle comparisons on small grids.
 
 Free-space padding (Hockney & Eastwood): the linear convolution of n samples
 with 2R+1 kernel taps has n + 2R entries, of which the window [R, R+n) is the
@@ -44,20 +44,32 @@ def fft_workers():
 def _crop_to_box(kernel, n):
     """The kernel and its radius, cropped to R <= n - 1: offsets beyond n - 1
     never connect two cells of the box, so the crop is exact."""
-    R = (kernel.shape[0] - 1) // 2
+    shape = np.shape(kernel)
+    if len(shape) != 3 or len(set(shape)) != 1 or shape[0] % 2 == 0:
+        raise ValueError(f"kernel must be a 3D cube of odd side, got shape {shape}")
+    R = (shape[0] - 1) // 2
     if R > n - 1:
         inner = slice(R - n + 1, R + n)
         kernel, R = kernel[inner, inner, inner], n - 1
     return kernel, R
 
 
+def convolver(kernel, n, h):
+    """f -> h^3 * K * f for fields on an n^3 grid, with the kernel cropped and
+    transformed once for every call."""
+    kernel, R = _crop_to_box(kernel, n)
+    kernel_fft = SpectralAccumulator(n, R, h).kernel_fft(kernel)
+
+    def apply(samples):
+        acc = SpectralAccumulator(n, R, h)
+        acc.add(acc.field_fft(samples), kernel_fft)
+        return acc.extract()
+    return apply
+
+
 def convolve_offsets(samples, kernel, h):
     """h^3 * linear convolution of a field with an odd-shaped offset kernel."""
-    n = samples.shape[0]
-    kernel, R = _crop_to_box(kernel, n)
-    acc = SpectralAccumulator(n, R, h)
-    acc.add(acc.field_fft(samples), acc.kernel_fft(kernel))
-    return acc.extract()
+    return convolver(kernel, samples.shape[0], h)(samples)
 
 
 class SpectralAccumulator:
@@ -79,8 +91,8 @@ class SpectralAccumulator:
         return sfft.rfftn(samples, s=(self.P,) * 3, workers=fft_workers())
 
     def kernel_fft(self, kernel):
-        if kernel.shape[0] != 2 * self.R + 1:
-            raise ValueError("kernel radius does not match accumulator")
+        if kernel.shape != (2 * self.R + 1,) * 3:
+            raise ValueError(f"kernel shape {kernel.shape} does not match radius {self.R}")
         return sfft.rfftn(kernel, s=(self.P,) * 3, workers=fft_workers())
 
     def add(self, field_fft, kernel_fft):
@@ -107,13 +119,9 @@ def convolve_direct(samples, kernel, h):
         w = kernel[di + R, dj + R, dk + R]
         if w == 0.0:
             continue
-        src_i = slice(max(0, -di), min(n, n - di))
-        src_j = slice(max(0, -dj), min(n, n - dj))
-        src_k = slice(max(0, -dk), min(n, n - dk))
-        dst_i = slice(max(0, di), min(n, n + di))
-        dst_j = slice(max(0, dj), min(n, n + dj))
-        dst_k = slice(max(0, dk), min(n, n + dk))
-        out[dst_i, dst_j, dst_k] += w * samples[src_i, src_j, src_k]
+        src = tuple(slice(max(0, -d), min(n, n - d)) for d in (di, dj, dk))
+        dst = tuple(slice(max(0, d), min(n, n + d)) for d in (di, dj, dk))
+        out[dst] += w * samples[src]
     return out * h ** 3
 
 
@@ -134,6 +142,21 @@ def gauss_legendre_cell_average(fn, center, m=16):
     return float(np.sum(W * fn(X, Y, Z)) / 8.0)
 
 
+def _cell_average_block(fn, cells, symmetry, exact, shift=0.0):
+    """Read-only block of unit-h averages of fn over the unit cubes centered at
+    (i, j, k) + shift, i, j, k in ``cells``.  ``symmetry`` maps a cell to its
+    key and sign; each key is integrated once, or taken from ``exact``."""
+    avgs = dict(exact)
+    block = np.empty((len(cells),) * 3)
+    for idx in product(range(len(cells)), repeat=3):
+        key, sign = symmetry(*(cells[m] for m in idx))
+        if key not in avgs:
+            avgs[key] = gauss_legendre_cell_average(fn, np.array(key, float) + shift)
+        block[idx] = sign * avgs[key]
+    block.flags.writeable = False
+    return block
+
+
 @lru_cache(maxsize=None)
 def _lattice_cell_averages(near):
     """Unit-h cell averages of 1/(4 pi |z|) over the cells centered at integer
@@ -142,18 +165,11 @@ def _lattice_cell_averages(near):
     The offset-0 cell uses the exact centered-cube integral; values scale as
     1/h.  Each distinct sorted |offset| triple is integrated once.
     """
-    fn = lambda x, y, z: 1.0 / (4.0 * np.pi * np.sqrt(x * x + y * y + z * z))
-    avgs = {}
-    block = np.empty((2 * near + 1,) * 3)
-    for i, j, k in product(range(-near, near + 1), repeat=3):
-        key = tuple(sorted((abs(i), abs(j), abs(k))))
-        if key not in avgs:
-            # centered unit cube = 8 corner half-cubes, each (1/4) of B3(-1)
-            avgs[key] = (8 * 0.25 * CORNER_CUBE_INV_R / (4.0 * np.pi) if key == (0, 0, 0)
-                         else gauss_legendre_cell_average(fn, np.array(key, float)))
-        block[i + near, j + near, k + near] = avgs[key]
-    block.flags.writeable = False
-    return block
+    return _cell_average_block(
+        lambda x, y, z: 1.0 / (4.0 * np.pi * np.sqrt(x * x + y * y + z * z)),
+        range(-near, near + 1), lambda *k: (tuple(sorted(map(abs, k))), 1),
+        # centered unit cube = 8 corner half-cubes, each (1/4) of B3(-1)
+        {(0, 0, 0): 8 * 0.25 * CORNER_CUBE_INV_R / (4.0 * np.pi)})
 
 
 @lru_cache(maxsize=None)
@@ -164,16 +180,11 @@ def _dipole_cell_averages(near):
     Odd in z1: the cells of the z1 = 0 plane average to exactly zero.  Values
     scale as 1/h^2; the z2 and z3 kernels are this block with axes permuted.
     """
-    fn = lambda x, y, z: x / (4.0 * np.pi * (x * x + y * y + z * z) ** 1.5)
-    avgs = {}
-    block = np.empty((2 * near + 1,) * 3)
-    for i, j, k in product(range(-near, near + 1), repeat=3):
-        key = (abs(i), *sorted((abs(j), abs(k))))
-        if key not in avgs:
-            avgs[key] = 0.0 if i == 0 else gauss_legendre_cell_average(fn, np.array(key, float))
-        block[i + near, j + near, k + near] = np.sign(i) * avgs[key]
-    block.flags.writeable = False
-    return block
+    return _cell_average_block(
+        lambda x, y, z: x / (4.0 * np.pi * (x * x + y * y + z * z) ** 1.5),
+        range(-near, near + 1),
+        lambda i, j, k: ((abs(i), *sorted((abs(j), abs(k)))), np.sign(i)),
+        {(0, j, k): 0.0 for j in range(near + 1) for k in range(j, near + 1)})
 
 
 @lru_cache(maxsize=None)
@@ -185,17 +196,10 @@ def _half_offset_inv_r2_averages(near):
     even cell-centered grid).  The eight corner cells use the exact corner-cube
     integral.  Values scale as 1/h^2.
     """
-    fn = lambda x, y, z: 1.0 / (x * x + y * y + z * z)
-    avgs = {}
-    block = np.empty((2 * near,) * 3)
-    for i, j, k in product(range(-near, near), repeat=3):
-        key = tuple(sorted(m if m >= 0 else -1 - m for m in (i, j, k)))  # first-octant mirror
-        if key not in avgs:
-            avgs[key] = (CORNER_CUBE_INV_R2 if key == (0, 0, 0)
-                         else gauss_legendre_cell_average(fn, np.array(key, float) + 0.5))
-        block[i + near, j + near, k + near] = avgs[key]
-    block.flags.writeable = False
-    return block
+    return _cell_average_block(
+        lambda x, y, z: 1.0 / (x * x + y * y + z * z), range(-near, near),
+        lambda *k: (tuple(sorted(m if m >= 0 else -1 - m for m in k)), 1),  # first-octant mirror
+        {(0, 0, 0): CORNER_CUBE_INV_R2}, shift=0.5)
 
 
 def inverse_square_weights(grid):
@@ -214,14 +218,20 @@ def inverse_square_weights(grid):
     return W
 
 
-def newton_kernel(grid):
-    """Offset kernel for the Newtonian potential 1/(4 pi r), full lattice."""
-    o2 = grid.offsets() ** 2
+def _offset_lattice(grid):
+    """Full-lattice offsets, |z|^2 (center set to 1) and the near-block slice."""
+    off = grid.offsets()
+    o2 = off ** 2
     R2 = o2[:, None, None] + o2[None, :, None] + o2[None, None, :]
     c = grid.n - 1
     R2[c, c, c] = 1.0
+    return off, R2, slice(c - NEAR, c + NEAR + 1)
+
+
+def newton_kernel(grid):
+    """Offset kernel for the Newtonian potential 1/(4 pi r), full lattice."""
+    _, R2, sl = _offset_lattice(grid)
     K = 1.0 / (4.0 * np.pi * np.sqrt(R2))
-    sl = slice(c - NEAR, c + NEAR + 1)
     K[sl, sl, sl] = _lattice_cell_averages(NEAR) / grid.h
     return K
 
@@ -232,14 +242,9 @@ def dipole_kernels(grid):
     The kernel is harmonic away from 0 (midpoint values are 4th-order cell
     averages there); near cells use exact averages, the singular cell is 0.
     """
-    off = grid.offsets()
-    o2 = off ** 2
-    R2 = o2[:, None, None] + o2[None, :, None] + o2[None, None, :]
-    c = grid.n - 1
-    R2[c, c, c] = 1.0
+    off, R2, sl = _offset_lattice(grid)
     denom = 4.0 * np.pi * R2 ** 1.5
     near_block = _dipole_cell_averages(NEAR) / (grid.h * grid.h)
-    sl = slice(c - NEAR, c + NEAR + 1)
     kernels = []
     for comp in range(3):
         K = off.reshape([-1 if ax == comp else 1 for ax in range(3)]) / denom

@@ -17,6 +17,7 @@ __all__ = [
 ]
 
 SCALING_TOL = 0.15  # acceptance band around each predicted exponent
+ENERGY_INEQ_RTOL = 1e-10  # energy inequality tolerance, relative to sqrt(W(0))
 
 
 @dataclass
@@ -102,7 +103,7 @@ def energy_balance_residual(series, states, forcing, params=None, rel_tol=0.02):
                        {"residuals": residuals, "W0": float(W[0])})
 
 
-def energy_inequality_check(series, rtol=1e-10):
+def energy_inequality_check(series):
     """sqrt(W(t)) <= sqrt(W(0)) + int_0^t sqrt(forcing energy) dt', every sample."""
     t = series.times
     sqw = np.sqrt(series.column("W"))
@@ -114,7 +115,7 @@ def energy_inequality_check(series, rtol=1e-10):
         margins.append(float(rhs - sqw[k]))
         if sqw[k] - rhs > worst_lhs - worst_rhs:
             worst_lhs, worst_rhs = sqw[k], rhs
-    tol = rtol * max(sqw[0], 1e-300)
+    tol = ENERGY_INEQ_RTOL * max(sqw[0], 1e-300)
     return make_report("energy-inequality", worst_lhs, worst_rhs, tol,
                        {"margins": margins})
 
@@ -259,17 +260,11 @@ def max_increment_structure(u, separations_cells, core_half_cells):
     return np.asarray(separations_cells) * h, np.array(out)
 
 
-def holder_half_report(u, separations_cells, core_half_cells, bound_scale=None):
-    """Fit of the gradient increment modulus against r^{1/2}.
-
-    ``bound_scale``, when given, is the time-integral factor of the modulus
-    bound; the empirical constant max S(r)/(sqrt(r) * bound_scale) is recorded.
-    """
+def holder_half_report(u, separations_cells, core_half_cells):
+    """Fit of the gradient increment modulus against r^{1/2}."""
     rs, S = max_increment_structure(u, separations_cells, core_half_cells)
     slope = fit_loglog_slope(rs, S)
     md = {"r": [float(r) for r in rs], "S": [float(s) for s in S]}
-    if bound_scale:
-        md["empirical_constant"] = float(np.max(S / (np.sqrt(rs) * bound_scale)))
     return make_value_report("holder-half-modulus", slope, 0.5, SCALING_TOL, md)
 
 

@@ -155,6 +155,15 @@ def solenoidal_gaussian_laplacian(grid, width=1.0, center=(0.0, 0.0, 0.0),
     return VectorField3.from_arrays(grid, *a)
 
 
+def _pulse_forcing(grid, arrays, t_scale):
+    """Forcing q(t) * arrays with q = exp(-t / t_scale)."""
+
+    def sampler(t):
+        q = np.exp(-t / t_scale)
+        return VectorField3.from_arrays(grid, *(q * a for a in arrays))
+    return ForcingField(grid, sampler)
+
+
 def gradient_pulse_forcing(grid, width=1.0, amplitude=1.0, t_scale=1.0):
     """Irrotational forcing X = q(t) grad(phi), phi a Gaussian bump."""
     if not (width > 0 and t_scale > 0):
@@ -163,12 +172,7 @@ def gradient_pulse_forcing(grid, width=1.0, amplitude=1.0, t_scale=1.0):
     r2 = X1 ** 2 + X2 ** 2 + X3 ** 2
     phi = amplitude * np.exp(-r2 / (2.0 * width ** 2))
     gcomp = (-X1 / width ** 2 * phi, -X2 / width ** 2 * phi, -X3 / width ** 2 * phi)
-
-    def sampler(t):
-        q = np.exp(-t / t_scale)
-        return VectorField3.from_arrays(grid, *(q * g for g in gcomp))
-
-    return ForcingField(grid, sampler)
+    return _pulse_forcing(grid, gcomp, t_scale)
 
 
 def solenoidal_pulse_forcing(grid, width=1.0, amplitude=1.0, t_scale=1.0,
@@ -177,12 +181,7 @@ def solenoidal_pulse_forcing(grid, width=1.0, amplitude=1.0, t_scale=1.0,
     if not (width > 0 and t_scale > 0):
         raise ValueError(f"width and t_scale must be > 0, got {width} and {t_scale}")
     base = _curl_gaussian_arrays(grid, width, (0.0, 0.0, 0.0), axis_vec, amplitude)
-
-    def sampler(t):
-        q = np.exp(-t / t_scale)
-        return VectorField3.from_arrays(grid, *(q * b for b in base))
-
-    return ForcingField(grid, sampler)
+    return _pulse_forcing(grid, base, t_scale)
 
 
 # --- named registries for experiment configs -------------------------------

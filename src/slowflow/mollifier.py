@@ -7,6 +7,7 @@ radius eps, unit mass.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -18,12 +19,6 @@ __all__ = ["MollifierKernel", "make_kernel", "mollify", "mollify_derivative",
            "kernel_on_grid", "kernel_grid_mass", "mollify_direct"]
 
 
-def _profile_integral():
-    val, _ = integrate.quad(lambda s: np.exp(1.0 / (s * s - 1.0)) * s * s,
-                            0.0, 1.0, epsabs=1e-14, epsrel=1e-14)
-    return val
-
-
 @dataclass(frozen=True)
 class MollifierKernel:
     """Radial profile lam(r^2/eps^2)/eps^3 with computed normalization A."""
@@ -31,32 +26,22 @@ class MollifierKernel:
     epsilon: float
     normalization: float
 
-    def profile(self, s):
-        """lam(s): smooth, nonnegative, zero for s >= 1."""
+    def profile(self, s, order=0):
+        """lam(s) (order 0: smooth, nonnegative, zero for s >= 1) or its first or
+        second derivative in s: lam' = -lam/(s-1)^2, lam'' = lam (1/(s-1)^4 + 2/(s-1)^3)."""
+        if order not in (0, 1, 2):
+            raise ValueError("profile order must be 0, 1 or 2")
         s = np.asarray(s, dtype=np.float64)
         out = np.zeros_like(s)
         inside = s < 1.0
+        d = s[inside] - 1.0
         with np.errstate(divide="ignore"):
-            out[inside] = self.normalization * np.exp(1.0 / (s[inside] - 1.0))
-        return out
-
-    def profile_d1(self, s):
-        """d lam / d s  (= -lam/(s-1)^2 on the support)."""
-        s = np.asarray(s, dtype=np.float64)
-        out = np.zeros_like(s)
-        inside = s < 1.0
-        si = s[inside]
-        out[inside] = -self.normalization * np.exp(1.0 / (si - 1.0)) / (si - 1.0) ** 2
-        return out
-
-    def profile_d2(self, s):
-        s = np.asarray(s, dtype=np.float64)
-        out = np.zeros_like(s)
-        inside = s < 1.0
-        si = s[inside]
-        out[inside] = self.normalization * np.exp(1.0 / (si - 1.0)) * (
-            1.0 / (si - 1.0) ** 4 + 2.0 / (si - 1.0) ** 3
-        )
+            lam = self.normalization * np.exp(1.0 / d)
+        if order == 1:
+            lam = -lam / d ** 2
+        elif order == 2:
+            lam = lam * (1.0 / d ** 4 + 2.0 / d ** 3)
+        out[inside] = lam
         return out
 
     def __call__(self, r):
@@ -65,31 +50,40 @@ class MollifierKernel:
         return self.profile((r / self.epsilon) ** 2) / self.epsilon ** 3
 
 
-def make_kernel(epsilon):
-    """Kernel with support radius epsilon; A solves the radial normalization."""
-    if not np.isfinite(epsilon) or epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    A = 1.0 / (4.0 * np.pi * _profile_integral())
-    k = MollifierKernel(float(epsilon), A)
-    # construction-time invariant: 4 pi int_0^1 lam(s^2) s^2 ds = 1 to 1e-10
+@lru_cache(maxsize=None)
+def _normalization():
+    """A, which does not depend on eps: computed and checked once per process."""
+    val, _ = integrate.quad(lambda s: np.exp(1.0 / (s * s - 1.0)) * s * s,
+                            0.0, 1.0, epsabs=1e-14, epsrel=1e-14)
+    A = 1.0 / (4.0 * np.pi * val)
+    # invariant: 4 pi int_0^1 lam(s^2) s^2 ds = 1 to 1e-10
+    k = MollifierKernel(1.0, A)
     chk, _ = integrate.quad(lambda s: k.profile(s * s) * s * s, 0.0, 1.0,
                             epsabs=1e-13, epsrel=1e-13)
     if abs(4.0 * np.pi * chk - 1.0) > 1e-10:
         raise RuntimeError("kernel normalization failed")
-    return k
+    return A
+
+
+def make_kernel(epsilon):
+    """Kernel with support radius epsilon; A solves the radial normalization."""
+    if not np.isfinite(epsilon) or epsilon <= 0:
+        raise ValueError("epsilon must be > 0")
+    return MollifierKernel(float(epsilon), _normalization())
 
 
 def _offsets(grid, k):
+    """Offset meshgrid of the kernel's support box, its |z|^2 and radius R."""
     R = min(grid.n - 1, int(np.ceil(k.epsilon / grid.h)) + 1)
     off = grid.offsets(R)
-    OX, OY, OZ = np.meshgrid(off, off, off, indexing="ij")
-    return (OX ** 2 + OY ** 2 + OZ ** 2), R
+    O = np.meshgrid(off, off, off, indexing="ij")
+    return O, O[0] ** 2 + O[1] ** 2 + O[2] ** 2, R
 
 
 def kernel_on_grid(k, grid, normalized=True):
     """Kernel sampled at lattice offsets; optionally renormalized to unit
     discrete mass so convolution weights form an exact convex combination."""
-    R2, R = _offsets(grid, k)
+    _, R2, R = _offsets(grid, k)
     W = k.profile(R2 / k.epsilon ** 2) / k.epsilon ** 3
     if normalized:
         W = W / (W.sum() * grid.cell_volume)
@@ -132,25 +126,19 @@ def mollify_derivative(U, k, multi_index):
     if len(mi) != 3 or any(v < 0 for v in mi) or not (1 <= sum(mi) <= 2):
         raise ValueError("multi_index must have 1 <= l+m+n <= 2")
     grid = U.grid
-    R2, R = _offsets(grid, k)
-    off = grid.offsets(R)
-    OX, OY, OZ = np.meshgrid(off, off, off, indexing="ij")
+    O, R2, _ = _offsets(grid, k)
     eps = k.epsilon
     s = R2 / eps ** 2
-    d1 = k.profile_d1(s)
+    d1 = k.profile(s, 1)
     # d/dx_i [lam(|x|^2/eps^2)] = lam'(s) * 2 x_i / eps^2
-    comps = {0: OX, 1: OY, 2: OZ}
-    order = sum(mi)
-    if order == 1:
-        axis = mi.index(1)
-        W = d1 * (2.0 * comps[axis] / eps ** 2) / eps ** 3
+    if sum(mi) == 1:
+        W = d1 * (2.0 * O[mi.index(1)] / eps ** 2) / eps ** 3
     else:
-        d2 = k.profile_d2(s)
+        d2 = k.profile(s, 2)
         if 2 in mi:
-            axis = mi.index(2)
-            xa = comps[axis]
+            xa = O[mi.index(2)]
             W = (d2 * (2.0 * xa / eps ** 2) ** 2 + d1 * (2.0 / eps ** 2)) / eps ** 3
         else:
             a, b = [i for i, v in enumerate(mi) if v == 1]
-            W = d2 * (2.0 * comps[a] / eps ** 2) * (2.0 * comps[b] / eps ** 2) / eps ** 3
+            W = d2 * (2.0 * O[a] / eps ** 2) * (2.0 * O[b] / eps ** 2) / eps ** 3
     return ScalarField(grid, convolve_offsets(U.samples, W, grid.h))

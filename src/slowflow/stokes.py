@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erf
 
-from .convolve import SpectralAccumulator, newton_kernel
+from .convolve import convolver, newton_kernel
 from .fields import ScalarField, VectorField3, derive, divergence
 from .report import make_report
 
@@ -220,18 +220,6 @@ def _duhamel_taus(t, h, nu):
     return np.geomspace(tau_min, t, m)
 
 
-def _newton_convolution(grid):
-    """f -> N * f as ``convolve_offsets(f, newton_kernel(grid), h)`` computes it,
-    with the grid-only kernel built and transformed once for every call."""
-    kernel_fft = SpectralAccumulator(grid.n, grid.n - 1, grid.h).kernel_fft(newton_kernel(grid))
-
-    def apply(samples):
-        acc = SpectralAccumulator(grid.n, grid.n - 1, grid.h)
-        acc.add(acc.field_fft(samples), kernel_fft)
-        return acc.extract()
-    return apply
-
-
 def forced_response(X, params, t, assume_solenoidal=False):
     """Duhamel superposition of propagated forcing snapshots up to time t.
 
@@ -247,7 +235,9 @@ def forced_response(X, params, t, assume_solenoidal=False):
         raise ValueError("empty forcing")
     if t <= 0:
         raise ValueError("t must be > 0")
-    return _duhamel(X, params, t, None if assume_solenoidal else _newton_convolution(X.grid))[0]
+    g = X.grid
+    return _duhamel(X, params, t,
+                    None if assume_solenoidal else convolver(newton_kernel(g), g.n, g.h))[0]
 
 
 def _duhamel(X, params, t, newton):
@@ -282,7 +272,8 @@ def _duhamel(X, params, t, newton):
 def pressure_field(X_t, params):
     """Newtonian-potential pressure p = -rho N * (div X) of the forcing at one
     time, by the projection's Newton convolution (X must decay inside the box)."""
-    return _pressure(X_t, params, _newton_convolution(X_t.grid))
+    g = X_t.grid
+    return _pressure(X_t, params, convolver(newton_kernel(g), g.n, g.h))
 
 
 def _pressure(X_t, params, newton):
@@ -316,7 +307,8 @@ def solve_linearized(u0, X, params, times, assume_solenoidal=False):
     _check_solenoidal(u0)
     grid = u0.grid
     u0_is_zero = all(not c.samples.any() for c in u0.components)
-    newton = _newton_convolution(grid) if X is not None and any(times) else None
+    newton = (convolver(newton_kernel(grid), grid.n, grid.h)
+              if X is not None and any(times) else None)
     states = []
     for t in times:
         u = VectorField3.zeros(grid) if u0_is_zero else heat_propagate(u0, params, t)

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from slowflow import make_grid
+from slowflow import ScalarField, make_grid
+from slowflow.analysis import convolution_bound_check
 from slowflow.convolve import (SpectralAccumulator, convolve_direct,
-                               convolve_offsets, dipole_kernels,
+                               convolve_offsets, convolver, dipole_kernels,
                                gauss_legendre_cell_average,
                                inverse_square_weights, newton_kernel)
 
@@ -41,6 +44,43 @@ def test_kernel_offsets_beyond_the_box_are_dropped(rng):
     np.testing.assert_allclose(a, b, atol=1e-12 * np.abs(b).max())
     c = convolve_direct(field, kernel, g.h)
     np.testing.assert_allclose(a, c, atol=1e-12 * np.abs(c).max())
+
+
+def test_convolver_transforms_the_kernel_once(rng, monkeypatch):
+    g = make_grid(16, 4.0)
+    kernel = rng.standard_normal((9, 9, 9))
+    fields = [rng.standard_normal((16,) * 3) for _ in range(3)]
+    calls = []
+    orig = SpectralAccumulator.kernel_fft
+    monkeypatch.setattr(SpectralAccumulator, "kernel_fft",
+                        lambda self, k: calls.append(1) or orig(self, k))
+    apply = convolver(kernel, g.n, g.h)
+    results = [apply(f) for f in fields]
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for f, r in zip(fields, results):
+        np.testing.assert_array_equal(r, convolve_offsets(f, kernel, g.h))
+
+
+@pytest.mark.parametrize("shape", [(7, 7, 5), (6, 6, 6), (7, 7), (7, 7, 7, 1)])
+def test_kernel_must_be_an_odd_cube(rng, shape):
+    # a non-cube kernel would put the FFT window at the wrong offset
+    g = make_grid(8, 2.0)
+    field = rng.standard_normal((8,) * 3)
+    kernel = rng.standard_normal(shape)
+    match = "3D cube of odd side.*" + re.escape(str(shape))
+    with pytest.raises(ValueError, match=match):
+        convolve_offsets(field, kernel, g.h)
+    with pytest.raises(ValueError, match=match):
+        convolve_direct(field, kernel, g.h)
+    with pytest.raises(ValueError, match=match):
+        convolution_bound_check(kernel, ScalarField(g, field))
+
+
+def test_accumulator_rejects_a_kernel_of_another_shape(rng):
+    acc = SpectralAccumulator(8, 3, 0.25)
+    with pytest.raises(ValueError, match=re.escape("(7, 7, 5)")):
+        acc.kernel_fft(rng.standard_normal((7, 7, 5)))
 
 
 @pytest.mark.parametrize("n, radius", [(24, 23), (24, 5), (40, 1), (64, 63)])

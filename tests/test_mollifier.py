@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slowflow import ScalarField, derive, integrate, make_grid, sup_norm
+from slowflow import ScalarField, derive, integrate, make_grid, mollifier, sup_norm
 from slowflow.analysis import strong_mean_distance
 from slowflow.fieldgen import gaussian_bump
 from slowflow.mollifier import (kernel_grid_mass, make_kernel, mollify,
@@ -35,6 +35,35 @@ class TestKernel:
         vals = k.profile(s)
         assert np.all(vals >= 0)
         assert np.all(vals[s >= 1.0] == 0.0)
+
+    def test_normalization_is_computed_once(self, monkeypatch):
+        make_kernel(0.5)
+        calls, quad = [], mollifier.integrate.quad
+
+        class CountingIntegrate:
+            def quad(self, *args, **kwargs):
+                calls.append(args)
+                return quad(*args, **kwargs)
+
+        monkeypatch.setattr(mollifier, "integrate", CountingIntegrate())
+        k = make_kernel(0.7)
+        assert calls == []
+        assert k.normalization == make_kernel(0.5).normalization
+
+    def test_profile_orders(self):
+        k = make_kernel(1.0)
+        s = np.linspace(-0.5, 1.5, 201)
+        lam, d1, d2 = (k.profile(s, order) for order in (0, 1, 2))
+        inside = s < 1.0
+        np.testing.assert_array_equal(d1[inside], -lam[inside] / (s[inside] - 1.0) ** 2)
+        assert np.all(d1[~inside] == 0.0) and np.all(d2[~inside] == 0.0)
+        # centered difference of lam' against lam''
+        ds = 1e-6
+        x = np.array([0.0, 0.3, 0.6])
+        fd = (k.profile(x + ds, 1) - k.profile(x - ds, 1)) / (2 * ds)
+        np.testing.assert_allclose(k.profile(x, 2), fd, rtol=1e-6)
+        with pytest.raises(ValueError, match="order"):
+            k.profile(s, 3)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):
