@@ -10,7 +10,10 @@ Free-space padding (Hockney & Eastwood): the linear convolution of n samples
 with 2R+1 kernel taps has n + 2R entries, of which the window [R, R+n) is the
 result.  A cyclic transform of length P folds entry m onto m +- P, and no
 entry of the support lands in the window once P >= n + R, so the engine pads
-to P = next_fast_len(n + R), not to the full n + 2R.
+to P = next_fast_len(n + R), not to the full n + 2R.  A field's transform runs
+the last axis first, over its n^2 data lines only, and the inverse keeps the
+window after each axis pass, so the lines the padding leaves zero or the crop
+discards are never transformed; a kernel fills its box and takes one rfftn.
 
 Kernels with an integrable singularity at an offset are represented by their
 exact cell averages near the singular point (scale-invariant constants,
@@ -88,7 +91,10 @@ class SpectralAccumulator:
         self._acc = None
 
     def field_fft(self, samples):
-        return sfft.rfftn(samples, s=(self.P,) * 3, workers=fft_workers())
+        # last axis first, over the n^2 data lines only; then overwrite our own copy
+        half = sfft.rfft(samples, n=self.P, axis=2, workers=fft_workers())
+        return sfft.fftn(half, s=(self.P,) * 2, axes=(0, 1), overwrite_x=True,
+                         workers=fft_workers())
 
     def kernel_fft(self, kernel):
         if kernel.shape != (2 * self.R + 1,) * 3:
@@ -103,11 +109,16 @@ class SpectralAccumulator:
             self._acc += term
 
     def extract(self):
-        if self._acc is None:
+        """The accumulated sum cropped to the box, each axis pass keeping only
+        the window; empties the accumulator, whose transform it overwrites."""
+        acc, self._acc = self._acc, None
+        if acc is None:
             return np.zeros((self.n,) * 3)
-        out = sfft.irfftn(self._acc, s=(self.P,) * 3, workers=fft_workers())
-        sl = slice(self.R, self.R + self.n)
-        return out[sl, sl, sl] * self.h ** 3
+        keep, w = slice(self.R, self.R + self.n), fft_workers()
+        acc = sfft.ifft(acc, axis=0, overwrite_x=True, workers=w)[keep]
+        acc = sfft.ifft(acc, axis=1, overwrite_x=True, workers=w)[:, keep]
+        acc = sfft.irfft(acc, n=self.P, axis=2, overwrite_x=True, workers=w)
+        return acc[..., keep] * self.h ** 3
 
 
 def convolve_direct(samples, kernel, h):

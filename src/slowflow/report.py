@@ -37,9 +37,6 @@ class VerificationReport:
             "metadata": _jsonable(self.metadata),
         }
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def make_report(name, lhs, rhs, tol, metadata=None):
     """Inequality report lhs <= rhs, accepted up to tol."""

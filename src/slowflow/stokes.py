@@ -12,11 +12,12 @@ and the pressure by the Newtonian potential p = -rho N * (div X) of the
 forcing, N = 1/(4 pi r).  Phi = N * G, so T * X = G * (P X) with
 P X = X + grad(N * div X) the Leray projection, whose Newton convolution the
 pressure shares.  P commutes with G, so the Duhamel integral is P applied
-once to a heat-only sum; T itself is evaluated pointwise only by
-``oseen_tensor_eval``.  The heat step and every Duhamel node apply G through
-one separable operator, ``_heat_apply``: three matrix products on views of
-each array, no 3D transform per node.  A solve transforms the grid-only Newton
-kernel once, for every output time's projection and pressure.
+once to a heat-only sum, taken by Gauss-Legendre panels in log tau; T itself
+is evaluated pointwise only by ``oseen_tensor_eval``.  The heat step and every
+Duhamel node apply G through one separable operator, ``_heat_apply``: three
+matrix products on views of each array, no 3D transform per node.  A solve
+transforms the grid-only Newton kernel once, for every output time's
+projection and pressure.
 """
 
 from dataclasses import dataclass
@@ -38,9 +39,11 @@ __all__ = [
 ]
 
 SQRT_PI = np.sqrt(np.pi)
-# Duhamel quadrature: geometric nodes per decade of tau, and the resolution
-# floor below which T acts as the identity (kernel radius < h/4).
-NODES_PER_DECADE = 12
+# Duhamel quadrature: Gauss-Legendre panels per decade of tau and points per
+# panel, and the resolution floor below which T acts as the identity (kernel
+# radius < h/4).
+PANELS_PER_DECADE = 1.5
+GAUSS_POINTS = 4
 FLOOR_FACTOR = 32.0
 # solve_linearized accepts u0 when ||div u0|| <= DIV_RTOL * J1(u0)
 DIV_RTOL = 0.2
@@ -211,13 +214,20 @@ def _phi_from_quadrature(r, nu_tau):
     return c * val / r
 
 
-def _duhamel_taus(t, h, nu):
-    tau_min = h * h / (FLOOR_FACTOR * nu)
-    if tau_min >= t:
+def _duhamel_rule(t, h, nu):
+    """Time-lag nodes tau_k and weights of the integral over [h^2/(32 nu), t]:
+    composite GAUSS_POINTS-point Gauss-Legendre panels, PANELS_PER_DECADE per
+    decade, in s = log tau, so the weights are w_k tau_k.  Gauss panels carry
+    no penalty at the hard endpoint tau = t, where a trapezoid rule stays
+    second order (Trefethen & Weideman, SIAM Rev. 56:385, 2014)."""
+    a, b = np.log(h * h / (FLOOR_FACTOR * nu)), np.log(t)
+    if a >= b:
         raise ValueError("under-resolved final subinterval: t below the quadrature floor")
-    decades = np.log10(t / tau_min)
-    m = max(8, int(np.ceil(NODES_PER_DECADE * decades)) + 1)
-    return np.geomspace(tau_min, t, m)
+    panels = max(1, int(np.ceil(PANELS_PER_DECADE * (b - a) / np.log(10.0))))
+    x, w = np.polynomial.legendre.leggauss(GAUSS_POINTS)
+    half = 0.5 * (b - a) / panels
+    taus = np.exp((a + half * (2 * np.arange(panels) + 1))[:, None] + half * x).ravel()
+    return taus, half * np.tile(w, panels) * taus
 
 
 def forced_response(X, params, t, assume_solenoidal=False):
@@ -228,8 +238,9 @@ def forced_response(X, params, t, assume_solenoidal=False):
     sums only the heat part H = sum_k w_k G(tau_k) * X(t - tau_k), each term by
     ``_heat_apply`` (no 3D transform per node), and P is applied once to H by
     one Newton convolution (skipped under ``assume_solenoidal``).  Time-lag nodes
-    are geometric from t down to the floor h^2/(32 nu); below the floor the
-    heat kernel acts as the identity.
+    and weights come from ``_duhamel_rule``, Gauss-Legendre panels in log tau
+    from the floor h^2/(32 nu) up to t; below the floor the heat kernel acts
+    as the identity.
     """
     if X is None:
         raise ValueError("empty forcing")
@@ -242,27 +253,22 @@ def forced_response(X, params, t, assume_solenoidal=False):
 
 def _duhamel(X, params, t, newton):
     """``forced_response`` projected by the Newton convolution ``newton`` (None:
-    not projected), and the forcing sample X(t) its below-floor sliver took."""
+    not projected), and the forcing sample X(t) its below-floor sliver took
+    (with its own X(t - tau_min))."""
     grid = X.grid
     nu = params.nu
-    taus = _duhamel_taus(t, grid.h, nu)
-
-    # trapezoid weights of the (non-uniform) tau nodes
-    ends = np.concatenate(([taus[0]], taus, [taus[-1]]))
-    weights = 0.5 * (ends[2:] - ends[:-2])
     H = [np.zeros((grid.n,) * 3) for _ in range(3)]
-    for k, (tau, w) in enumerate(zip(taus, weights)):
+    for tau, w in zip(*_duhamel_rule(t, grid.h, nu)):
         Xf = X.at(t - tau)
         for acc, a in zip(H, _heat_apply([c.samples for c in Xf.components], grid, nu * tau)):
             acc += w * a
-        if k == 0:  # the below-floor sliver reuses the tau_0 sample
-            X_t0 = Xf
 
-    # below-floor sliver: identity action
+    # below-floor sliver [0, tau_min]: identity action, trapezoid rule
+    tau_min = grid.h ** 2 / (FLOOR_FACTOR * nu)
     X_t = X.at(t)
     H = VectorField3.from_arrays(grid, *(
-        a + 0.5 * taus[0] * (x.samples + y.samples)
-        for a, x, y in zip(H, X_t.components, X_t0.components)))
+        a + 0.5 * tau_min * (x.samples + y.samples)
+        for a, x, y in zip(H, X_t.components, X.at(t - tau_min).components)))
     if newton is not None:
         pot = ScalarField(grid, newton(divergence(H).samples))
         H = H + VectorField3(*(derive(pot, ax) for ax in (1, 2, 3)))

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from slowflow import ScalarField, make_grid
-from slowflow.analysis import convolution_bound_check
+from slowflow import ScalarField, derive, make_grid
+from slowflow.analysis import convolution_bound_check, representation_reconstruct
 from slowflow.convolve import (SpectralAccumulator, convolve_direct,
                                convolve_offsets, convolver, dipole_kernels,
                                gauss_legendre_cell_average,
                                inverse_square_weights, newton_kernel)
+from slowflow.fieldgen import gaussian_bump
 
 
 def test_fft_matches_direct_sum(rng):
@@ -23,7 +24,8 @@ def test_fft_matches_direct_sum(rng):
 
 @pytest.mark.parametrize("radius", [6, 7])
 def test_fft_matches_direct_sum_for_wide_asymmetric_kernels(rng, radius):
-    # R = n-2 and n-1 sit at the tight-padding limit P >= n + R.  A random
+    # R = n-2 and n-1 sit at the tight-padding limit P >= n + R; R = 7 pads
+    # to the odd P = 15, whose half spectrum has no Nyquist line.  A random
     # kernel has no symmetry that could hide a flipped or shifted window.
     g = make_grid(8, 2.0)
     field = rng.standard_normal((8,) * 3)
@@ -60,6 +62,54 @@ def test_convolver_transforms_the_kernel_once(rng, monkeypatch):
     monkeypatch.undo()
     for f, r in zip(fields, results):
         np.testing.assert_array_equal(r, convolve_offsets(f, kernel, g.h))
+
+
+def _full_box_convolution(samples, kernel, h):
+    """The engine before pruning: full-box rfftn / irfftn of both operands
+    padded to P^3, then the crop."""
+    n, R = samples.shape[0], (kernel.shape[0] - 1) // 2
+    P = sfft.next_fast_len(n + R)
+    out = sfft.irfftn(sfft.rfftn(samples, s=(P,) * 3) * sfft.rfftn(kernel, s=(P,) * 3),
+                      s=(P,) * 3)
+    keep = slice(R, R + n)
+    return out[keep, keep, keep] * h ** 3
+
+
+@pytest.mark.parametrize("n, radius", [(8, 7), (16, 4), (24, 23)])
+def test_pruned_transforms_match_the_full_box_path(rng, n, radius):
+    # P = 15 (odd), 20 and 48
+    field = rng.standard_normal((n,) * 3)
+    kernel = rng.standard_normal((2 * radius + 1,) * 3)
+    a = convolve_offsets(field, kernel, 0.25)
+    ref = _full_box_convolution(field, kernel, 0.25)
+    np.testing.assert_allclose(a, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+
+
+def test_multi_kernel_accumulator_matches_a_sum_of_direct_convolutions():
+    # representation_reconstruct sums three dipole convolutions (R = n - 1,
+    # P = 15 at n = 8) before one inverse transform
+    g = make_grid(8, 2.0)
+    u = gaussian_bump(g, width=0.5)
+    rec, _ = representation_reconstruct(u)
+    ref = sum(convolve_direct(derive(u, axis + 1).samples, K, g.h)
+              for axis, K in enumerate(dipole_kernels(g)))
+    np.testing.assert_allclose(rec.samples, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def test_repeated_applies_leave_the_kernel_transform_intact(rng, monkeypatch):
+    g = make_grid(16, 4.0)
+    kernel = rng.standard_normal((9, 9, 9))
+    field = rng.standard_normal((16,) * 3)
+    kept = []
+    orig = SpectralAccumulator.kernel_fft
+    monkeypatch.setattr(SpectralAccumulator, "kernel_fft",
+                        lambda self, k: kept.append(orig(self, k)) or kept[-1])
+    apply = convolver(kernel, g.n, g.h)
+    pristine = kept[0].copy()
+    first = apply(field)
+    for _ in range(3):
+        np.testing.assert_array_equal(apply(field), first)
+    np.testing.assert_array_equal(kept[0], pristine)
 
 
 @pytest.mark.parametrize("shape", [(7, 7, 5), (6, 6, 6), (7, 7), (7, 7, 7, 1)])

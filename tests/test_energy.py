@@ -65,6 +65,9 @@ class TestEnergyBalance:
         r = energy_balance_residual(ser, states, None, PAR, rel_tol=0.04)
         assert r.passed
         assert r.lhs < 0.04
+        # decaying and unforced: W(0) is the largest term, so the residual
+        # keeps its W(0) scaling
+        assert r.metadata["scale"] == r.metadata["W0"]
 
     def test_degenerate_initial_energy_rejected(self, grid16):
         z = VectorField3.zeros(grid16)
@@ -73,8 +76,12 @@ class TestEnergyBalance:
                   FlowState(0.5, bump, ScalarField.zeros(grid16)),
                   FlowState(1.0, bump, ScalarField.zeros(grid16))]
         ser = diagnostics_series(states, None, PAR)
-        with pytest.raises(ValueError, match="W\\(0\\)"):
-            energy_balance_residual(ser, states, None, PAR)
+        # the residual is relative to the largest term of the balance, so it
+        # stays defined when W(0) = 0: energy that appears without forcing
+        # fails the audit
+        r = energy_balance_residual(ser, states, None, PAR)
+        assert r.metadata["scale"] > 0 and np.isfinite(r.lhs)
+        assert not r.passed
 
     def test_needs_three_samples(self, grid16):
         z = VectorField3.zeros(grid16)
@@ -108,6 +115,31 @@ class TestEnergyInequality:
         r = energy_inequality_check(ser)
         assert r.passed
         assert min(r.metadata["margins"][1:]) > 0
+
+    def test_reports_the_tightest_sample_after_the_first(self):
+        # from rest the first sample is the trivial pair lhs = rhs = 0
+        g = make_grid(20, 4.0)
+        par = FluidParams(0.5, 1.0)
+        shape = solenoidal_gaussian(g, width=0.9)
+        F = ramped_forcing(g, shape, solenoidal_gaussian_laplacian(g, width=0.9), 0.5, 0.4)
+        states = solve_linearized(VectorField3.zeros(g), F, par,
+                                  [0.0, 0.1, 0.2, 0.3], assume_solenoidal=True)
+        ser = diagnostics_series(states, F, par)
+        r = energy_inequality_check(ser)
+        margins = r.metadata["margins"]
+        k = 1 + int(np.argmin(margins[1:]))
+        assert margins[0] == 0.0 and r.passed
+        assert r.lhs == np.sqrt(ser.column("W")[k]) > 0.0
+        assert r.rhs - r.lhs == pytest.approx(margins[k], rel=1e-12)
+
+    def test_verdict_still_catches_a_violation(self, grid16):
+        # energy that grows without forcing breaks the inequality
+        bump = solenoidal_gaussian(grid16, width=0.8)
+        states = [FlowState(t, a * bump, ScalarField.zeros(grid16))
+                  for t, a in ((0.0, 1.0), (0.5, 2.0), (1.0, 1.5))]
+        r = energy_inequality_check(diagnostics_series(states))
+        assert not r.passed
+        assert r.lhs == pytest.approx(2.0 * r.rhs)
 
 
 class TestAbelIntegral:

@@ -181,6 +181,20 @@ class TestRunExperiment:
         code, reports = run_experiment(cfg, str(tmp_path / "out"))
         assert code == 0
 
+    def test_convergence_study_judges_only_the_refinement_claim(self, tmp_path):
+        # at L = 4 the 16^3 representation error (0.176) misses its O(h)
+        # budget (0.15) while refinement halves it: the per-grid reports are
+        # kept in report.json but only the refinement claim sets the exit code
+        raw = {"grid": {"n": 16, "L": 4.0}, "study": "representation", "grids": [16, 24]}
+        out = tmp_path / "out"
+        code, reports = run_experiment(ExperimentConfig(raw, "convergence-study"), str(out))
+        assert code == 0
+        byname = {r["name"]: r for r in json.loads((out / "report.json").read_text())}
+        assert byname["representation-n16"]["pass"] is False
+        assert byname["representation-n16"]["metadata"]["judged"] is False
+        assert byname["representation-refinement-decrease"]["pass"] is True
+        assert "judged" not in byname["representation-refinement-decrease"]["metadata"]
+
 
 class TestCliMain:
     def test_exit_2_on_bad_config(self, tmp_path, capsys):
@@ -286,6 +300,23 @@ def test_config_numbers_are_not_truncated_or_coerced(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
     assert not (tmp_path / "o").exists()
+
+
+def test_verify_audits_the_from_rest_case(tmp_path, capsys):
+    # u'(x, 0) = 0 under a forcing: W(0) = 0, so the energy balance is scaled
+    # by the largest term of the balance instead of W(0)
+    path = _write_config(tmp_path, {"grid": {"n": 16, "L": 4.0},
+                                    "initial": {"generator": "zero"},
+                                    "forcing": {"generator": "solenoidal_pulse"},
+                                    "times": {"start": 0.0, "end": 0.4, "count": 4}})
+    out = tmp_path / "o"
+    code = main(["verify", "--config", str(path), "--out", str(out)])
+    assert code != 2 and capsys.readouterr().err == ""
+    byname = {r["name"]: r for r in json.loads((out / "report.json").read_text())}
+    balance = byname["energy-balance"]
+    assert balance["metadata"]["W0"] == 0.0 and balance["metadata"]["scale"] > 0.0
+    assert 0.0 < balance["lhs"] < 0.1
+    assert byname["energy-inequality"]["lhs"] > 0.0  # not the trivial t = 0 pair
 
 
 def test_solver_error_is_not_labelled_a_config_error(tmp_path, capsys):

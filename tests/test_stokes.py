@@ -10,8 +10,8 @@ from slowflow.fieldgen import (gradient_pulse_forcing, ramped_forcing,
                                solenoidal_gaussian,
                                solenoidal_gaussian_laplacian,
                                solenoidal_pulse_forcing)
-from slowflow.stokes import (FlowState, FluidParams, ForcingField,
-                             _duhamel_taus, _heat_apply, _heat_factor, _phi_from_quadrature,
+from slowflow.stokes import (FLOOR_FACTOR, FlowState, FluidParams, ForcingField,
+                             _duhamel_rule, _heat_apply, _heat_factor, _phi_from_quadrature,
                              forced_response, heat_kernel_on_grid, heat_propagate,
                              oseen_decay_constant, oseen_tensor_eval,
                              pressure_field, residual_check, solve_linearized)
@@ -293,15 +293,15 @@ class TestForcedResponse:
     @staticmethod
     def _heat_sum_by_3d_convolution(F, par, t):
         """The Duhamel heat sum with one 3D FFT convolution per node and
-        component; returns H and the unit-mass kernel radius of each node."""
+        component, on the nodes and weights of the shared rule plus the
+        trapezoid sliver below the floor; returns H and the unit-mass kernel
+        radius of each node."""
         g = F.grid
-        taus = _duhamel_taus(t, g.h, par.nu)
-        ends = np.concatenate(([taus[0]], taus, [taus[-1]]))
-        weights = 0.5 * (ends[2:] - ends[:-2])
-        H = [0.5 * taus[0] * (a.samples + b.samples)
-             for a, b in zip(F.at(t).components, F.at(t - taus[0]).components)]
+        tau_min = g.h ** 2 / (FLOOR_FACTOR * par.nu)
+        H = [0.5 * tau_min * (a.samples + b.samples)
+             for a, b in zip(F.at(t).components, F.at(t - tau_min).components)]
         radii = []
-        for tau, w in zip(taus, weights):
+        for tau, w in zip(*_duhamel_rule(t, g.h, par.nu)):
             K, R = heat_kernel_on_grid(g, par.nu * tau)
             radii.append(R)
             for acc, c in zip(H, F.at(t - tau).components):
@@ -338,7 +338,7 @@ class TestForcedResponse:
                 calls[_name] += 1
                 return _orig(self, a)
             monkeypatch.setattr(SpectralAccumulator, name, counting)
-        g = make_grid(24, 4.0)  # the forced_duhamel benchmark settings: 14 nodes
+        g = make_grid(24, 4.0)  # the forced_duhamel benchmark settings: 8 nodes
         F = gradient_pulse_forcing(g, width=1.0, t_scale=0.5)
         par = FluidParams(0.25, 1.0)
         if assume_solenoidal == "solve":
@@ -350,14 +350,14 @@ class TestForcedResponse:
         assert calls == {"kernel_fft": min(expected, 1), "field_fft": expected}
 
     def test_forced_solve_samples_the_forcing_once_per_node_and_time(self):
-        # the forced_duhamel benchmark settings: 14 nodes, then X(t) for the
-        # below-floor sliver, which the pressure reuses
+        # the forced_duhamel benchmark settings: 8 nodes, then X(t - tau_min)
+        # and X(t) for the below-floor sliver; the pressure reuses X(t)
         g, par = make_grid(24, 4.0), FluidParams(0.25, 1.0)
         pulse = gradient_pulse_forcing(g, width=1.0, t_scale=0.5)
         sampled = []
         F = ForcingField(g, lambda s: sampled.append(s) or pulse.at(s))
         solve_linearized(VectorField3.zeros(g), F, par, [0.15])
-        assert len(sampled) == len(_duhamel_taus(0.15, g.h, par.nu)) + 1 == 15
+        assert len(sampled) == len(_duhamel_rule(0.15, g.h, par.nu)[0]) + 2 == 10
 
 
 class TestPressure:
