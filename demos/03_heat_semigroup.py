@@ -11,7 +11,7 @@ precision.
 
 import numpy as np
 
-from slowflow import VectorField3, make_grid, sample_diagnostics
+from slowflow import VectorField3, make_grid
 from slowflow.fieldgen import solenoidal_gaussian
 from slowflow.stokes import FluidParams, heat_propagate, solve_linearized
 
@@ -32,7 +32,7 @@ u0 = solenoidal_gaussian(grid, width=1.0)
 states = solve_linearized(u0, None, par, list(np.linspace(0.0, 1.0, 6)))
 print("\n   t        W          J1         V          D1")
 for s in states:
-    d = sample_diagnostics(s.u, s.t)
+    d = s.diagnostics
     print(f"  {d.t:4.2f}  {d.W:9.5f}  {d.J1:9.5f}  {d.V:9.6f}  {d.D1:9.6f}")
 
 # the semigroup property: two short steps equal one long step

@@ -283,11 +283,12 @@ def _convergence_study(cfg, out_dir):
     """Per-grid reports (``judged: false``) and the one judged refinement claim."""
     reports = []
     values = []
+    label = cfg.study.replace("_", "-")
     for grid in cfg.grids:
         if cfg.study in ("representation", "quasi_derivative"):
             rep = (analysis.representation_reconstruct(_probe(grid))[1]
                    if cfg.study == "representation" else _quasi_derivative_report(grid))
-            rep.name = f"{cfg.study.replace('_', '-')}-n{grid.n}"
+            rep.name = f"{label}-n{grid.n}"
             rep.metadata["judged"] = False
             reports.append(rep)
             values.append(rep.lhs)
@@ -301,7 +302,7 @@ def _convergence_study(cfg, out_dir):
                                                  rel_tol=1.0)
             values.append(rep.lhs)
     worst_ratio = max(b / a for a, b in zip(values, values[1:]))
-    reports.append(make_report(f"{cfg.study}-refinement-decrease", worst_ratio, 1.0, 0.0,
+    reports.append(make_report(f"{label}-refinement-decrease", worst_ratio, 1.0, 0.0,
                                {"grids": [g.n for g in cfg.grids], "values": values}))
     return reports
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import _derivatives, _norms, flow_energy, sample_diagnostics, sup_norm
+from .fields import _derivatives, flow_energy, sup_norm
 from .report import make_report, make_value_report
 
 __all__ = [
@@ -54,11 +54,9 @@ def _forcing_l2(X):
 def diagnostics_series(states, forcing=None, params=None):
     """Per-state W, J1, J2, V, D1 plus the forcing L2 norm at each time."""
     grid = _check_states(states)
-    samples = [sample_diagnostics(s.u, s.t) for s in states]
-    if forcing is None:
-        fnorms = [0.0] * len(states)
-    else:
-        fnorms = [_forcing_l2(forcing.at(s.t)) for s in states]
+    samples = [s.diagnostics for s in states]
+    fnorms = ([0.0] * len(states) if forcing is None
+              else [_forcing_l2(forcing.at(s.t)) for s in states])
     md = {"grid_n": grid.n, "grid_L": grid.L}
     if params is not None:
         md["nu"] = params.nu
@@ -166,11 +164,10 @@ def bound_suite(u0, states, forcing, params, scaling=False):
     V/J1 ~ t^{-1/4}, D_m/sqrt(W) ~ t^{-(2m+3)/4} and J_m/sqrt(W) ~ t^{-m/2};
     they require at least 5 positive-time samples spanning a decade.
 
-    Each state takes one derivative pass, ``_norms``: the 9 first-derivative
-    stencils, and the second derivatives too only for the scaling fit of an
-    unforced run (J2).  V and W are read only when unforced.  The forcing,
-    when given, is sampled once per state; that sample gives both ||X|| and
-    sup|X|.  ``u0`` is not used.
+    Every column is read from ``FlowState.diagnostics``: a state that
+    ``diagnostics_series`` has seen takes no derivative pass here.  The
+    forcing, when given, is sampled once per state for both ||X|| and sup|X|.
+    ``u0`` is not used.
     """
     _check_states(states)
     t = np.array([float(s.t) for s in states])
@@ -185,9 +182,8 @@ def bound_suite(u0, states, forcing, params, scaling=False):
     pos = t > 0
     if fit and (pos.sum() < 5 or t[pos].max() / t[pos].min() < 10.0):
         raise ValueError("fewer than 5 usable time samples spanning a decade")
-    norms = [_norms(s.u, 2 if fit else 1) for s in states]
-    J1 = np.array([j[0] for j, _ in norms])
-    D1 = np.array([d1 for _, d1 in norms])
+    W, J1, J2, V, D1 = (np.array([getattr(s.diagnostics, k) for s in states])
+                        for k in ("W", "J1", "J2", "V", "D1"))
 
     if forced:
         # forced-response ratio bounds; meaningful for runs started from rest
@@ -210,13 +206,10 @@ def bound_suite(u0, states, forcing, params, scaling=False):
             reports.append(make_report(name, worst, 3.0 * med if ok else 0.0, 0.0, md))
         return reports
 
-    V = np.array([sup_norm(s.u) for s in states])
-    W = np.array([flow_energy(s.u) for s in states])
     reports = [_monotone_report("sup-speed-monotone", V, 1e-10),
                _monotone_report("energy-monotone", W, 1e-10),
                _monotone_report("gradient-seminorm-monotone", J1, 1e-10)]
     if fit:
-        J2 = np.array([j[1] for j, _ in norms])
         tp, Vp, J1p, J2p, D1p = t[pos], V[pos], J1[pos], J2[pos], D1[pos]
         sqW = np.sqrt(W[pos])
         reports.append(_scaling_report("speed-over-gradient-decay", tp, Vp / J1p, -0.25))

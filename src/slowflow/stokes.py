@@ -21,6 +21,7 @@ projection and pressure.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -28,7 +29,7 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 from .convolve import convolver, newton_kernel
-from .fields import ScalarField, VectorField3, derive, divergence
+from .fields import ScalarField, VectorField3, derive, divergence, sample_diagnostics
 from .report import make_report
 
 __all__ = [
@@ -61,9 +62,9 @@ class FluidParams:
             raise ValueError("rho must be > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowState:
-    """Velocity/pressure snapshot at time t."""
+    """Immutable velocity/pressure snapshot at time t, with its diagnosis."""
 
     t: float
     u: VectorField3
@@ -78,6 +79,11 @@ class FlowState:
     @property
     def grid(self):
         return self.u.grid
+
+    @cached_property
+    def diagnostics(self):
+        """W, J1, J2, V and D1 of u from one derivative pass, taken on first use."""
+        return sample_diagnostics(self.u, self.t)
 
 
 class ForcingField:

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from slowflow import ScalarField, VectorField3, fields, make_grid, sup_norm
+from slowflow import ScalarField, VectorField3, fields, make_grid, stokes, sup_norm
 from slowflow.energy import (_monotone_report, _scaling_report, abel_integral,
                              bound_suite, continuity_probe, diagnostics_series,
                              energy_balance_residual, energy_inequality_check,
@@ -22,6 +24,24 @@ def _heat_states(grid, width=1.0, times=(0.0, 0.2, 0.5, 1.0), seed=None):
     else:
         u0 = random_solenoidal(grid, seed=seed)
     return u0, solve_linearized(u0, None, PAR, list(times))
+
+
+def _undiagnosed(states):
+    """Copies of the states whose diagnosis has not been taken yet."""
+    return [FlowState(s.t, s.u, s.p) for s in states]
+
+
+def _count_stencils(monkeypatch):
+    """The order of every ``fields._derive_array`` call from now on."""
+    calls = []
+    derive_array = fields._derive_array
+
+    def counting(a, axis, order, h, *args, **kw):
+        calls.append(order)
+        return derive_array(a, axis, order, h, *args, **kw)
+
+    monkeypatch.setattr(fields, "_derive_array", counting)
+    return calls
 
 
 class TestDiagnosticsSeries:
@@ -207,9 +227,10 @@ class TestBoundSuite:
 
 
 def _bound_suite_oracle(states, forcing, params, fit):
-    """bound_suite's reports built from the full diagnostics series, with
-    each forcing time sampled again for sup|X| (the path it replaced)."""
-    ser = diagnostics_series(states, forcing)
+    """bound_suite's reports built from a full diagnostics series of its own
+    (a fresh diagnosis of each state), with each forcing time sampled again
+    for sup|X|."""
+    ser = diagnostics_series(_undiagnosed(states), forcing)
     t = ser.times
     col = {name: ser.column(name) for name in ("W", "J1", "J2", "V", "D1")}
     if not (forcing is not None and any(f > 0 for f in ser.forcing_norms)):
@@ -282,18 +303,44 @@ class TestBoundSuiteFirstOrder:
         got = bound_suite(u0, states, F, PAR)
         assert [vars(r) for r in got] == [vars(r) for r in _bound_suite_oracle(states, F, PAR, False)]
 
-    def test_monotone_branch_takes_first_derivatives_only(self, monkeypatch, grid16):
+    @pytest.mark.parametrize("branch", ["monotone", "scaling", "forced"])
+    def test_same_reports_with_and_without_a_series_first(self, grid16, ramp_run, branch):
+        if branch == "forced":
+            F, par, states = ramp_run
+            u0 = None
+        else:
+            F, par = None, PAR
+            u0, states = _heat_states(grid16, seed=4, times=self.DECADE)
+        scaling = branch == "scaling"
+        cold = bound_suite(u0, _undiagnosed(states), F, par, scaling=scaling)
+        warm_states = _undiagnosed(states)
+        diagnostics_series(warm_states, F, par)
+        warm = bound_suite(u0, warm_states, F, par, scaling=scaling)
+        want = _bound_suite_oracle(states, F, par, scaling)
+        assert [vars(r) for r in cold] == [vars(r) for r in want]
+        assert [vars(r) for r in warm] == [vars(r) for r in want]
+
+    def test_series_then_bound_suite_takes_one_diagnosis_per_state(self, monkeypatch, grid16):
         u0, states = _heat_states(grid16, times=(0.0, 0.1, 0.2))
-        calls = []
-        derive_array = fields._derive_array
-
-        def counting(a, axis, order, h, *args, **kw):
-            calls.append(order)
-            return derive_array(a, axis, order, h, *args, **kw)
-
-        monkeypatch.setattr(fields, "_derive_array", counting)
+        calls = _count_stencils(monkeypatch)
+        diagnostics_series(states, None, PAR)
+        # per component: 3 first, 3 pure second and 3 mixed derivatives
+        assert len(calls) == 27 * len(states)
+        calls.clear()
         bound_suite(u0, states, None, PAR, scaling=False)
-        assert calls == [1] * (9 * len(states))  # a full diagnosis would take 27 per state
+        assert calls == []
+
+    def test_unforced_audit_takes_117_stencils_for_4_times(self, monkeypatch, grid16):
+        # solve_linearized's solenoidal check takes the 9 first derivatives,
+        # then each state one 27-stencil diagnosis, shared by every check
+        u0 = solenoidal_gaussian(grid16, width=1.0)
+        calls = _count_stencils(monkeypatch)
+        states = solve_linearized(u0, None, PAR, [0.0, 0.1, 0.2, 0.3])
+        ser = diagnostics_series(states, None, PAR)
+        energy_balance_residual(ser, states, None, PAR)
+        energy_inequality_check(ser)
+        bound_suite(u0, states, None, PAR)
+        assert len(calls) == 9 + 27 * 4 == 117
 
     def test_forced_branch_samples_each_time_once(self, ramp_run):
         F, par, states = ramp_run
@@ -310,6 +357,32 @@ class TestBoundSuiteFirstOrder:
             for fn in (lambda s: bound_suite(u0, s, None, PAR), diagnostics_series):
                 with pytest.raises(ValueError, match=match):
                     fn(bad)
+
+
+class TestStateDiagnosis:
+    def test_state_is_frozen(self, grid16):
+        s = FlowState(0.0, VectorField3.zeros(grid16), ScalarField.zeros(grid16))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.u = VectorField3.zeros(grid16)
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_each_state_is_diagnosed_once(self, monkeypatch, grid16, ramp_run, forced):
+        if forced:
+            F, par, states = ramp_run
+        else:
+            F, par = None, PAR
+            states = _heat_states(grid16, times=(0.0, 0.1, 0.2))[1]
+        states = _undiagnosed(states)
+        diagnosed = []
+        sample = stokes.sample_diagnostics
+        monkeypatch.setattr(stokes, "sample_diagnostics",
+                            lambda u, t: (diagnosed.append(u), sample(u, t))[1])
+        ser = diagnostics_series(states, F, par)
+        energy_balance_residual(ser, states, F, par)
+        energy_inequality_check(ser)
+        bound_suite(None, states, F, par)
+        assert [id(u) for u in diagnosed] == [id(s.u) for s in states]
+        assert ser.samples == [s.diagnostics for s in states]
 
 
 class TestHolderProbe:

@@ -195,6 +195,15 @@ class TestRunExperiment:
         assert byname["representation-refinement-decrease"]["pass"] is True
         assert "judged" not in byname["representation-refinement-decrease"]["metadata"]
 
+    def test_refinement_report_is_named_like_the_per_grid_reports(self, tmp_path):
+        raw = {"grid": {"n": 16, "L": 4.0}, "study": "quasi_derivative", "grids": [16, 24]}
+        out = tmp_path / "out"
+        code, _ = run_experiment(ExperimentConfig(raw, "convergence-study"), str(out))
+        assert code == 0
+        names = [r["name"] for r in json.loads((out / "report.json").read_text())]
+        assert names == ["quasi-derivative-n16", "quasi-derivative-n24",
+                         "quasi-derivative-refinement-decrease"]
+
 
 class TestCliMain:
     def test_exit_2_on_bad_config(self, tmp_path, capsys):
