@@ -112,8 +112,6 @@ class SpectralAccumulator:
         """The accumulated sum cropped to the box, each axis pass keeping only
         the window; empties the accumulator, whose transform it overwrites."""
         acc, self._acc = self._acc, None
-        if acc is None:
-            return np.zeros((self.n,) * 3)
         keep, w = slice(self.R, self.R + self.n), fft_workers()
         acc = sfft.ifft(acc, axis=0, overwrite_x=True, workers=w)[keep]
         acc = sfft.ifft(acc, axis=1, overwrite_x=True, workers=w)[:, keep]
@@ -169,46 +167,46 @@ def _cell_average_block(fn, cells, symmetry, exact, shift=0.0):
 
 
 @lru_cache(maxsize=None)
-def _lattice_cell_averages(near):
+def _lattice_cell_averages():
     """Unit-h cell averages of 1/(4 pi |z|) over the cells centered at integer
-    offsets |k|_inf <= near, as a read-only (2 near + 1)^3 block.
+    offsets |k|_inf <= NEAR, as a read-only (2 NEAR + 1)^3 block.
 
     The offset-0 cell uses the exact centered-cube integral; values scale as
     1/h.  Each distinct sorted |offset| triple is integrated once.
     """
     return _cell_average_block(
         lambda x, y, z: 1.0 / (4.0 * np.pi * np.sqrt(x * x + y * y + z * z)),
-        range(-near, near + 1), lambda *k: (tuple(sorted(map(abs, k))), 1),
+        range(-NEAR, NEAR + 1), lambda *k: (tuple(sorted(map(abs, k))), 1),
         # centered unit cube = 8 corner half-cubes, each (1/4) of B3(-1)
         {(0, 0, 0): 8 * 0.25 * CORNER_CUBE_INV_R / (4.0 * np.pi)})
 
 
 @lru_cache(maxsize=None)
-def _dipole_cell_averages(near):
+def _dipole_cell_averages():
     """Unit-h cell averages of z1/(4 pi |z|^3) over the cells centered at
-    integer offsets |k|_inf <= near, as a read-only (2 near + 1)^3 block.
+    integer offsets |k|_inf <= NEAR, as a read-only (2 NEAR + 1)^3 block.
 
     Odd in z1: the cells of the z1 = 0 plane average to exactly zero.  Values
     scale as 1/h^2; the z2 and z3 kernels are this block with axes permuted.
     """
     return _cell_average_block(
         lambda x, y, z: x / (4.0 * np.pi * (x * x + y * y + z * z) ** 1.5),
-        range(-near, near + 1),
+        range(-NEAR, NEAR + 1),
         lambda i, j, k: ((abs(i), *sorted((abs(j), abs(k)))), np.sign(i)),
-        {(0, j, k): 0.0 for j in range(near + 1) for k in range(j, near + 1)})
+        {(0, j, k): 0.0 for j in range(NEAR + 1) for k in range(j, NEAR + 1)})
 
 
 @lru_cache(maxsize=None)
-def _half_offset_inv_r2_averages(near):
+def _half_offset_inv_r2_averages():
     """Unit-h cell averages of 1/|z|^2 over the cells [i,i+1]x[j,j+1]x[k,k+1],
-    -near <= i, j, k < near, as a read-only (2 near)^3 block.
+    -NEAR <= i, j, k < NEAR, as a read-only (2 NEAR)^3 block.
 
     This is the corner-singularity layout (origin at a cell vertex, as on an
     even cell-centered grid).  The eight corner cells use the exact corner-cube
     integral.  Values scale as 1/h^2.
     """
     return _cell_average_block(
-        lambda x, y, z: 1.0 / (x * x + y * y + z * z), range(-near, near),
+        lambda x, y, z: 1.0 / (x * x + y * y + z * z), range(-NEAR, NEAR),
         lambda *k: (tuple(sorted(m if m >= 0 else -1 - m for m in k)), 1),  # first-octant mirror
         {(0, 0, 0): CORNER_CUBE_INV_R2}, shift=0.5)
 
@@ -225,7 +223,7 @@ def inverse_square_weights(grid):
     h = grid.h
     W = 1.0 / R2 + (h * h / 12.0) / R2 ** 2
     sl = slice(grid.n // 2 - NEAR, grid.n // 2 + NEAR)
-    W[sl, sl, sl] = _half_offset_inv_r2_averages(NEAR) / (h * h)
+    W[sl, sl, sl] = _half_offset_inv_r2_averages() / (h * h)
     return W
 
 
@@ -243,7 +241,7 @@ def newton_kernel(grid):
     """Offset kernel for the Newtonian potential 1/(4 pi r), full lattice."""
     _, R2, sl = _offset_lattice(grid)
     K = 1.0 / (4.0 * np.pi * np.sqrt(R2))
-    K[sl, sl, sl] = _lattice_cell_averages(NEAR) / grid.h
+    K[sl, sl, sl] = _lattice_cell_averages() / grid.h
     return K
 
 
@@ -255,7 +253,7 @@ def dipole_kernels(grid):
     """
     off, R2, sl = _offset_lattice(grid)
     denom = 4.0 * np.pi * R2 ** 1.5
-    near_block = _dipole_cell_averages(NEAR) / (grid.h * grid.h)
+    near_block = _dipole_cell_averages() / (grid.h * grid.h)
     kernels = []
     for comp in range(3):
         K = off.reshape([-1 if ax == comp else 1 for ax in range(3)]) / denom

@@ -64,7 +64,7 @@ def diagnostics_series(states, forcing=None, params=None):
     return DiagnosticsSeries(samples, fnorms, md)
 
 
-def energy_balance_residual(series, states, forcing, params=None, rel_tol=0.02):
+def energy_balance_residual(series, states, forcing, params, rel_tol=0.02):
     """Residual of nu * int J1^2 + (W(t) - W(0))/2 = work done by the forcing.
 
     Trapezoidal time quadrature on the state grid; the report carries the
@@ -85,10 +85,7 @@ def energy_balance_residual(series, states, forcing, params=None, rel_tol=0.02):
                 float(np.sum(s.u.components[i].samples * X.components[i].samples))
                 for i in range(3)
             ) * s.grid.cell_volume
-    nu = params.nu if params is not None else series.metadata.get("nu")
-    if nu is None:
-        raise ValueError("viscosity unknown: pass params or build the series with them")
-    dissip = np.array([nu * np.trapezoid(J1sq[: k + 1], t[: k + 1]) for k in range(len(t))])
+    dissip = np.array([params.nu * np.trapezoid(J1sq[: k + 1], t[: k + 1]) for k in range(len(t))])
     work = np.array([np.trapezoid(work_rate[: k + 1], t[: k + 1]) for k in range(len(t))])
     scale = float(max(W.max(), dissip.max(), np.abs(work).max()))
     res = np.abs(dissip + 0.5 * (W - W[0]) - work)[1:]
@@ -226,24 +223,18 @@ def max_increment_structure(u, separations_cells, core_half_cells):
     Pairs are restricted to the central core (origin-centered cube of
     half-width core_half_cells cells); separations are in cells.
     """
-    grid = u.grid
-    n, h = grid.n, grid.h
-    lo, hi = n // 2 - core_half_cells, n // 2 + core_half_cells
-    grads = [d for c in u.components for _, _, d in _derivatives(c.samples, h, 1)]
+    n, h = u.grid.n, u.grid.h
+    core = slice(n // 2 - core_half_cells, n // 2 + core_half_cells)
+    # the 9 gradient components cropped to the core, each axis in turn leading
+    views = [np.moveaxis(d[core, core, core], axis, 0) for c in u.components
+             for _, _, d in _derivatives(c.samples, h, 1) for axis in range(3)]
     out = []
     for m in separations_cells:
+        if m < 1:
+            raise ValueError("separation must be at least 1 cell")
         if m >= 2 * core_half_cells:
             raise ValueError("separation exceeds the sampling core")
-        best = 0.0
-        for g in grads:
-            for axis in range(3):
-                a = np.take(g, range(lo, hi - m), axis=axis)
-                b = np.take(g, range(lo + m, hi), axis=axis)
-                dif = np.abs(b - a)
-                sl = [slice(lo, hi)] * 3
-                sl[axis] = slice(None, dif.shape[axis])
-                best = max(best, float(dif[tuple(sl)].max()))
-        out.append(best)
+        out.append(max(float(np.abs(v[m:] - v[:-m]).max()) for v in views))
     return np.asarray(separations_cells) * h, np.array(out)
 
 

@@ -44,11 +44,6 @@ class MollifierKernel:
         out[inside] = lam
         return out
 
-    def __call__(self, r):
-        """Kernel value lam(r^2/eps^2)/eps^3 at radius r."""
-        r = np.asarray(r, dtype=np.float64)
-        return self.profile((r / self.epsilon) ** 2) / self.epsilon ** 3
-
 
 @lru_cache(maxsize=None)
 def _normalization():
@@ -72,19 +67,28 @@ def make_kernel(epsilon):
     return MollifierKernel(float(epsilon), _normalization())
 
 
-def _offsets(grid, k):
-    """Offset meshgrid of the kernel's support box, its |z|^2 and radius R."""
-    R = min(grid.n - 1, int(np.ceil(k.epsilon / grid.h)) + 1)
+def _sampled(k, grid, axes):
+    """d^alpha [lam(|z|^2/eps^2)/eps^3] at the lattice offsets of the kernel's
+    support box, alpha the (at most two, ascending) axes in ``axes``, and the
+    box radius R.  With g_a = 2 z_a/eps^2, d_a = lam' g_a and
+    d_a d_b = lam'' g_a g_b + [a = b] lam' 2/eps^2."""
+    eps = k.epsilon
+    R = min(grid.n - 1, int(np.ceil(eps / grid.h)) + 1)
     off = grid.offsets(R)
-    O = np.meshgrid(off, off, off, indexing="ij")
-    return O, O[0] ** 2 + O[1] ** 2 + O[2] ** 2, R
+    z = np.meshgrid(off, off, off, indexing="ij")
+    s = (z[0] ** 2 + z[1] ** 2 + z[2] ** 2) / eps ** 2
+    W = k.profile(s, len(axes))
+    for a in axes:
+        W = W * (2.0 * z[a] / eps ** 2)
+    if len(axes) == 2 and axes[0] == axes[1]:
+        W = W + k.profile(s, 1) * (2.0 / eps ** 2)
+    return W / eps ** 3, R
 
 
 def kernel_on_grid(k, grid, normalized=True):
     """Kernel sampled at lattice offsets; optionally renormalized to unit
     discrete mass so convolution weights form an exact convex combination."""
-    _, R2, R = _offsets(grid, k)
-    W = k.profile(R2 / k.epsilon ** 2) / k.epsilon ** 3
+    W, R = _sampled(k, grid, ())
     if normalized:
         W = W / (W.sum() * grid.cell_volume)
     return W, R
@@ -125,20 +129,5 @@ def mollify_derivative(U, k, multi_index):
     mi = tuple(int(v) for v in multi_index)
     if len(mi) != 3 or any(v < 0 for v in mi) or not (1 <= sum(mi) <= 2):
         raise ValueError("multi_index must have 1 <= l+m+n <= 2")
-    grid = U.grid
-    O, R2, _ = _offsets(grid, k)
-    eps = k.epsilon
-    s = R2 / eps ** 2
-    d1 = k.profile(s, 1)
-    # d/dx_i [lam(|x|^2/eps^2)] = lam'(s) * 2 x_i / eps^2
-    if sum(mi) == 1:
-        W = d1 * (2.0 * O[mi.index(1)] / eps ** 2) / eps ** 3
-    else:
-        d2 = k.profile(s, 2)
-        if 2 in mi:
-            xa = O[mi.index(2)]
-            W = (d2 * (2.0 * xa / eps ** 2) ** 2 + d1 * (2.0 / eps ** 2)) / eps ** 3
-        else:
-            a, b = [i for i, v in enumerate(mi) if v == 1]
-            W = d2 * (2.0 * O[a] / eps ** 2) * (2.0 * O[b] / eps ** 2) / eps ** 3
-    return ScalarField(grid, convolve_offsets(U.samples, W, grid.h))
+    W, _ = _sampled(k, U.grid, tuple(a for a, v in enumerate(mi) for _ in range(v)))
+    return ScalarField(U.grid, convolve_offsets(U.samples, W, U.grid.h))

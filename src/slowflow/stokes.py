@@ -34,7 +34,7 @@ from .report import make_report
 
 __all__ = [
     "FluidParams", "FlowState", "ForcingField",
-    "heat_propagate", "heat_kernel_on_grid",
+    "heat_propagate",
     "oseen_tensor_eval", "oseen_decay_constant",
     "forced_response", "pressure_field", "solve_linearized", "residual_check",
 ]
@@ -115,16 +115,6 @@ def _heat_factor(grid, nu_t):
     return p / p.sum(), R
 
 
-def heat_kernel_on_grid(grid, nu_t):
-    """Gaussian offset kernel of variance 2*nu*t per axis, truncated at 8 widths
-    and rescaled to exact unit discrete mass: the convolution weights are a
-    convex combination (sup and energy contraction hold exactly, constants are
-    preserved exactly)."""
-    k, R = _heat_factor(grid, nu_t)
-    K = k[:, None, None] * k[None, :, None] * k[None, None, :]
-    return K / grid.cell_volume, R
-
-
 def _heat_apply(arrays, grid, nu_t):
     """The unit-mass kernel k(x) k(y) k(z) / h^3 of ``_heat_factor`` applied to
     each array: k along each axis as an n x n banded Toeplitz matrix T, by three
@@ -142,8 +132,11 @@ def _heat_apply(arrays, grid, nu_t):
 
 
 def heat_propagate(u0, params, t):
-    """Evolve u0 for time t under pure diffusion: the kernel of
-    ``heat_kernel_on_grid``, applied by ``_heat_apply`` (no 3D transform)."""
+    """Evolve u0 for time t under pure diffusion: the Gaussian kernel of
+    variance 2*nu*t per axis, truncated at 8 widths and rescaled to exact unit
+    discrete mass, so its weights are a convex combination (sup and energy
+    contract, constants are preserved exactly), applied by ``_heat_apply``
+    (no 3D transform)."""
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0:

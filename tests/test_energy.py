@@ -407,6 +407,12 @@ class TestHolderProbe:
         with pytest.raises(ValueError, match="core"):
             max_increment_structure(u, [12], 5)
 
+    def test_separation_must_be_a_cell_or_more(self, grid16):
+        # a 0-cell separation would give S = 0, which the log-log fit drops
+        u = solenoidal_gaussian(grid16, width=1.0)
+        with pytest.raises(ValueError, match="at least 1 cell"):
+            max_increment_structure(u, [0, 2], 5)
+
 
 class TestContinuityProbe:
     def test_strong_and_uniform_rates(self):

@@ -8,8 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slowflow import ScalarField, VectorField3, make_grid
+from slowflow import ScalarField, VectorField3, energy, fieldgen, make_grid
+from slowflow.analysis import representation_reconstruct
 from slowflow.cli import ConfigError, ExperimentConfig, main, run_experiment
+from slowflow.report import make_report
+from slowflow.stokes import FluidParams, solve_linearized
 
 from slowflow.lerf import LerfError, read_field, write_field
 
@@ -403,3 +406,81 @@ def test_forced_solve_is_byte_identical_across_thread_counts(tmp_path):
     assert outs[0].keys() == outs[1].keys() and len(outs[0]) == 3 * 4 + 2
     for name in outs[0]:
         assert outs[0][name] == outs[1][name], f"{name} differs between thread counts"
+
+
+def test_verify_runs_the_representation_check(tmp_path):
+    path = _write_config(tmp_path, {"checks": ["representation"]})
+    out = tmp_path / "o"
+    code = main(["verify", "--config", str(path), "--out", str(out)])
+    assert code == 0
+    [rep] = json.loads((out / "report.json").read_text())
+    g = make_grid(16, 6.0)
+    ref = representation_reconstruct(fieldgen.gaussian_bump(g, width=1.0))[1]
+    assert rep["name"] == ref.name == "representation-identity"
+    assert rep["lhs"] == ref.lhs and rep["pass"] is True
+
+
+ENERGY_STUDY = {"grid": {"n": 16, "L": 4.0}, "initial": {"generator": "zero"},
+                "study": "energy_balance", "grids": [16, 24],
+                "times": {"start": 0.0, "end": 0.5, "count": 4}}
+
+
+def _strict_json(text):
+    """json.loads that rejects Infinity and NaN, as strict JSON does."""
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_energy_study_from_rest_without_forcing_exits_0(tmp_path, capsys):
+    # every residual is 0 on both grids: no growth, not a 0/0 traceback
+    path = _write_config(tmp_path, ENERGY_STUDY)
+    out = tmp_path / "o"
+    code = main(["convergence-study", "--config", str(path), "--out", str(out)])
+    assert code == 0 and capsys.readouterr().err == ""
+    [rep] = _strict_json((out / "report.json").read_text())
+    assert rep["name"] == "energy-balance-refinement-decrease"
+    assert rep["lhs"] == 0.0 and rep["metadata"]["values"] == [0.0, 0.0]
+
+
+def test_energy_study_growth_from_a_zero_value_fails_in_strict_json(tmp_path, monkeypatch):
+    # a zero coarse residual followed by a nonzero one is unbounded growth
+    values = iter([0.0, 0.5])
+    monkeypatch.setattr(energy, "energy_balance_residual",
+                        lambda *a, **k: make_report("energy-balance", next(values), 1.0, 0.0))
+    path = _write_config(tmp_path, ENERGY_STUDY)
+    out = tmp_path / "o"
+    assert main(["convergence-study", "--config", str(path), "--out", str(out)]) == 1
+    [rep] = _strict_json((out / "report.json").read_text())
+    assert rep["pass"] is False and rep["lhs"] == sys.float_info.max
+    assert rep["metadata"]["values"] == [0.0, 0.5]
+
+
+def test_energy_study_solves_with_the_configured_forcing(tmp_path):
+    path = _write_config(tmp_path, dict(ENERGY_STUDY, forcing={"generator": "solenoidal_pulse"}))
+    out = tmp_path / "o"
+    main(["convergence-study", "--config", str(path), "--out", str(out)])
+    [rep] = _strict_json((out / "report.json").read_text())
+    values = rep["metadata"]["values"]
+    par, times = FluidParams(1.0, 1.0), list(np.linspace(0.0, 0.5, 4))
+    for n, value in zip((16, 24), values):
+        g = make_grid(n, 4.0)
+        F = fieldgen.forcing("solenoidal_pulse", g)
+        states = solve_linearized(VectorField3.zeros(g), F, par, times)
+        series = energy.diagnostics_series(states, F, par)
+        assert value == energy.energy_balance_residual(series, states, F, par).lhs
+    # the forced solve's residuals (an unforced solve from rest gives 0, 0);
+    # their growth is the time-sampling bias of the 4-sample trapezoid
+    assert values == pytest.approx([0.03006, 0.03309], rel=1e-3)
+
+
+@pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not-json"])
+def test_unreadable_or_malformed_config_is_a_config_error(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_text(content)
+    code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()

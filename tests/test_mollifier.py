@@ -195,6 +195,19 @@ class TestMollifyDerivative:
             sups.append(sup_norm(delta))
         assert sups[0] / sups[1] > 3.0
 
+    def test_mixed_derivative_matches_difference_of_first(self):
+        # the a != b term of the sampled kernel: d1 d2 (K * U) against the
+        # centered x2-difference of d1 (K * U), converging at the h^2 rate
+        k = make_kernel(1.0)
+        sups = []
+        for n in (32, 64):
+            g = make_grid(n, 4.0)
+            U = gaussian_bump(g, width=0.8, center=(0.2, -0.3, 0.1))
+            mixed = mollify_derivative(U, k, (1, 1, 0))
+            delta = derive(mollify_derivative(U, k, (1, 0, 0)), 2) - mixed
+            sups.append(sup_norm(delta) / sup_norm(mixed))
+        assert sups[0] / sups[1] > 3.0 and sups[1] < 0.05
+
     def test_second_derivative_consistent_under_refinement(self):
         # the twice-differentiated profile has sharp radial structure near the
         # support edge; the convergent regime needs eps/h >= 8

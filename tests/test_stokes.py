@@ -12,11 +12,20 @@ from slowflow.fieldgen import (gradient_pulse_forcing, ramped_forcing,
                                solenoidal_pulse_forcing)
 from slowflow.stokes import (FLOOR_FACTOR, FlowState, FluidParams, ForcingField,
                              _duhamel_rule, _heat_apply, _heat_factor, _phi_from_quadrature,
-                             forced_response, heat_kernel_on_grid, heat_propagate,
+                             forced_response, heat_propagate,
                              oseen_decay_constant, oseen_tensor_eval,
                              pressure_field, residual_check, solve_linearized)
 
 PAR = FluidParams(1.0, 1.0)
+
+
+def heat_kernel_on_grid(grid, nu_t):
+    """Frozen 3D oracle for the heat step: the unit-mass separable kernel
+    k(x) k(y) k(z) / h^3 of ``stokes._heat_factor`` as one offset kernel, and
+    its radius R, for comparison through a 3D convolution."""
+    k, R = _heat_factor(grid, nu_t)
+    K = k[:, None, None] * k[None, :, None] * k[None, None, :]
+    return K / grid.cell_volume, R
 
 
 def _heat_apply_by_tensordot(arrays, grid, nu_t):
@@ -405,6 +414,16 @@ class TestPressure:
         bad[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             pressure_field(VectorField3.from_arrays(grid16, bad, bad, bad), PAR)
+
+
+class TestFlowState:
+    def test_rejects_negative_time(self, grid16):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            FlowState(-0.1, VectorField3.zeros(grid16), ScalarField.zeros(grid16))
+
+    def test_rejects_pressure_on_another_grid(self, grid16):
+        with pytest.raises(ValueError, match="share one grid"):
+            FlowState(0.0, VectorField3.zeros(grid16), ScalarField.zeros(make_grid(16, 8.0)))
 
 
 class TestSolveLinearized:
