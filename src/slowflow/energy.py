@@ -227,7 +227,7 @@ def max_increment_structure(u, separations_cells, core_half_cells):
     core = slice(n // 2 - core_half_cells, n // 2 + core_half_cells)
     # the 9 gradient components cropped to the core, each axis in turn leading
     views = [np.moveaxis(d[core, core, core], axis, 0) for c in u.components
-             for _, _, d in _derivatives(c.samples, h, 1) for axis in range(3)]
+             for d in _derivatives(c.samples, h, 1) for axis in range(3)]
     out = []
     for m in separations_cells:
         if m < 1:

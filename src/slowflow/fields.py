@@ -14,9 +14,11 @@ stride B apart.  That is exact: a cell whose flat neighbours at +-B are not
 its axis neighbours has index 0 or n - 1 along the axis, and those two
 boundary layers are rewritten afterwards by the one-sided formulas.  Every
 cell sees the same floating-point operations in the same order as on a
-strided view, and nothing 3D is allocated besides the result; the diagnostics
-reuse one workspace per call, so the derivative pass allocates no 3D
-temporary per derivative.
+strided view, and nothing 3D is allocated besides the result.  The
+diagnostics take undivided differences into 2 workspaces and scale each norm
+once at the end: D1 is exact (rounded division is monotone), J1 and J2 match
+the divided derivatives to round-off.  Their sums of squares run on einsum,
+never on BLAS, whose summation order depends on its thread count.
 """
 
 from dataclasses import dataclass, field
@@ -177,12 +179,10 @@ def integrate(U, V):
     return float(np.sum(U.samples * V.samples) * U.grid.cell_volume)
 
 
-def _derive_array(a, axis, order, h, out=None):
-    """Centered stencil of the given order along axis, one-sided at its two
-    boundary layers, written into out (default: a new array laid out as a;
-    a given out must not share memory with a)."""
-    if out is None:
-        out = np.empty_like(a)
+def _difference(a, axis, order, out):
+    """Undivided centered difference of the given order along axis, hi - lo or
+    (hi - 2 mid) + lo, one-sided at its two boundary layers, written into out
+    (which must not share memory with a)."""
     s, o = a.swapaxes(0, axis), out.swapaxes(0, axis)
     if (a.flags.c_contiguous or a.flags.f_contiguous) and out.strides == a.strides:
         # one pass over flat memory: neighbours along axis lie B cells apart
@@ -193,16 +193,22 @@ def _derive_array(a, axis, order, h, out=None):
         lo, mid, hi, dst = s[:-2], s[1:-1], s[2:], o[1:-1]
     if order == 1:
         np.subtract(hi, lo, out=dst)
-        dst /= 2 * h
-        o[0] = (-3 * s[0] + 4 * s[1] - s[2]) / (2 * h)
-        o[-1] = (3 * s[-1] - 4 * s[-2] + s[-3]) / (2 * h)
+        o[0] = -3 * s[0] + 4 * s[1] - s[2]
+        o[-1] = 3 * s[-1] - 4 * s[-2] + s[-3]
     else:
         np.multiply(mid, 2, out=dst)
         np.subtract(hi, dst, out=dst)
         dst += lo
-        dst /= h ** 2
-        o[0] = (2 * s[0] - 5 * s[1] + 4 * s[2] - s[3]) / h ** 2
-        o[-1] = (2 * s[-1] - 5 * s[-2] + 4 * s[-3] - s[-4]) / h ** 2
+        o[0] = 2 * s[0] - 5 * s[1] + 4 * s[2] - s[3]
+        o[-1] = 2 * s[-1] - 5 * s[-2] + 4 * s[-3] - s[-4]
+    return out
+
+
+def _derive_array(a, axis, order, h, out=None):
+    """Centered stencil of the given order along axis: the undivided difference
+    divided once by 2h or h^2, into out (default: a new array laid out as a)."""
+    out = _difference(a, axis, order, np.empty_like(a) if out is None else out)
+    out /= 2 * h if order == 1 else h ** 2
     return out
 
 
@@ -231,47 +237,50 @@ def sup_norm(u):
     return float(np.sqrt(u.speed_squared().max()))
 
 
-def _derivatives(a, h, m, work=None):
-    """Yield (order, ordered pairs, array) once per distinct derivative of
-    order <= m of one component: 3 first, then 3 pure second and 3 mixed ones
-    (a first derivative differenced again, standing for 2 ordered pairs).
-    Between yields it keeps only the 3 first derivatives.
-
-    With a workspace ``work`` (3 arrays for m = 1, 4 for m = 2, laid out as
-    ``a``) no 3D array is allocated: the first derivatives go to work[0:3] and
-    each second derivative to work[3], so a yielded array is valid only until
-    the next yield.
-    """
-    w = work or [None] * 4
-    firsts = [_derive_array(a, ax, 1, h, w[ax]) for ax in range(3)]
-    for g in firsts:
-        yield 1, 1, g
-    if m == 2:
-        for ax in range(3):
-            yield 2, 1, _derive_array(a, ax, 2, h, w[3])
-        for ax, bx in ((0, 1), (0, 2), (1, 2)):
-            yield 2, 2, _derive_array(firsts[ax], bx, 1, h, w[3])
+def _derivatives(a, h, m):
+    """Yield the distinct derivatives of order m of one component: 3 first ones,
+    or 3 pure second ones and 3 mixed (a first one differenced again)."""
+    firsts = [_derive_array(a, ax, 1, h) for ax in range(3)]
+    if m == 1:
+        yield from firsts
+        return
+    for ax in range(3):
+        yield _derive_array(a, ax, 2, h)
+    for ax, bx in ((0, 1), (0, 2), (1, 2)):
+        yield _derive_array(firsts[ax], bx, 1, h)
 
 
 def _like(a, buf):
-    """buf if it has a's strides, else a new array laid out as a; a reduction
-    over either runs in the same order as one over a ** 2."""
+    """buf if it has a's strides, else a new array laid out as a."""
     return buf if buf is not None and buf.strides == a.strides else np.empty_like(a)
 
 
+def _sum_squares(a):
+    """Sum of a ** 2 over contiguous a, in one deterministic single-thread pass."""
+    return np.einsum("i,i->", a.ravel(order="K"), a.ravel(order="K"))
+
+
 def _norms(u, m):
-    """[J1, ..., Jm] and D1 of u from one derivative pass of order <= m over
-    all components; with m = 1 that is the 9 first-derivative stencils only."""
-    sq, D1 = [0.0] * m, 0.0  # sq[k - 1]: sum of squared k-th derivatives
-    work = [None] * (3 + m)  # the workspace of _derivatives, then one reduction buffer
+    """[J1, ..., Jm] and D1 of u from undivided differences, per component and
+    axis: the first one f, then (m = 2) the pure second one and those of f along
+    each later axis (2 ordered pairs each).  Each norm is scaled once at the end."""
+    s1 = pure = mixed = big = 0.0
+    f = g = None  # the first difference and the second-order workspace
     for c in u.components:
-        work = [_like(c.samples, w) for w in work]
-        *ws, buf = work
-        for order, pairs, d in _derivatives(c.samples, u.grid.h, m, ws):
-            sq[order - 1] += pairs * np.sum(np.square(d, out=buf))
-            if order == 1:
-                D1 = max(D1, float(np.abs(d, out=buf).max()))
-    return [float(np.sqrt(s * u.grid.cell_volume)) for s in sq], D1
+        a = c.samples
+        f = _like(a, f)
+        g = _like(f, g) if m == 2 else None
+        for ax in range(3):
+            _difference(a, ax, 1, f)
+            s1 += _sum_squares(f)
+            big = max(big, f.max(), -f.min())
+            if m == 2:
+                pure += _sum_squares(_difference(a, ax, 2, g))
+                for bx in range(ax + 1, 3):
+                    mixed += _sum_squares(_difference(f, bx, 1, g))
+    h, vol = u.grid.h, u.grid.cell_volume
+    J = [float(np.sqrt(s1 * vol)) / (2 * h), float(np.sqrt((pure + mixed / 8) * vol)) / h ** 2]
+    return J[:m], float(big) / (2 * h)
 
 
 def seminorm_jm(u, m):
@@ -297,7 +306,7 @@ def sup_derivative(u, m=1):
     if m == 1:
         return _norms(u, 1)[1]
     return max(float(np.abs(d).max()) for c in u.components
-               for order, _, d in _derivatives(c.samples, u.grid.h, 2) if order == 2)
+               for d in _derivatives(c.samples, u.grid.h, 2))
 
 
 @dataclass(frozen=True)

@@ -32,15 +32,15 @@ def _undiagnosed(states):
 
 
 def _count_stencils(monkeypatch):
-    """The order of every ``fields._derive_array`` call from now on."""
+    """The order of every stencil (a ``fields._difference`` call) from now on."""
     calls = []
-    derive_array = fields._derive_array
+    difference = fields._difference
 
-    def counting(a, axis, order, h, *args, **kw):
+    def counting(a, axis, order, out):
         calls.append(order)
-        return derive_array(a, axis, order, h, *args, **kw)
+        return difference(a, axis, order, out)
 
-    monkeypatch.setattr(fields, "_derive_array", counting)
+    monkeypatch.setattr(fields, "_difference", counting)
     return calls
 
 

@@ -368,6 +368,21 @@ class TestForcedResponse:
         solve_linearized(VectorField3.zeros(g), F, par, [0.15])
         assert len(sampled) == len(_duhamel_rule(0.15, g.h, par.nu)[0]) + 2 == 10
 
+    def test_duhamel_rule_reads_the_cached_gauss_legendre_table(self, monkeypatch):
+        # the rule as first written, with a fresh leggauss table per call;
+        # once the cache holds the table, no call rebuilds it
+        t, h, nu = 0.15, 1 / 3, 0.25
+        a, b = np.log(h * h / (FLOOR_FACTOR * nu)), np.log(t)
+        panels = int(np.ceil(stokes.PANELS_PER_DECADE * (b - a) / np.log(10.0)))
+        x, w = np.polynomial.legendre.leggauss(stokes.GAUSS_POINTS)
+        half = 0.5 * (b - a) / panels
+        taus = np.exp((a + half * (2 * np.arange(panels) + 1))[:, None] + half * x).ravel()
+        _duhamel_rule(t, h, nu)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)
+        got = _duhamel_rule(t, h, nu)
+        assert got[0].tobytes() == taus.tobytes()
+        assert got[1].tobytes() == (half * np.tile(w, panels) * taus).tobytes()
+
 
 class TestPressure:
     def test_zero_forcing(self, grid16):
@@ -426,19 +441,41 @@ class TestFlowState:
             FlowState(0.0, VectorField3.zeros(grid16), ScalarField.zeros(make_grid(16, 8.0)))
 
 
+def _count_stencils(monkeypatch):
+    """The order of every stencil (a ``fields._difference`` call) from now on."""
+    calls = []
+    difference = fields._difference
+
+    def counting(a, axis, order, out):
+        calls.append(order)
+        return difference(a, axis, order, out)
+
+    monkeypatch.setattr(fields, "_difference", counting)
+    return calls
+
+
 class TestSolveLinearized:
     def test_initial_data_check_builds_each_first_derivative_once(self, monkeypatch, grid32):
         u0 = solenoidal_gaussian(grid32, width=1.0)
-        calls = []
-        derive_array = fields._derive_array
-
-        def counting(a, axis, order, h, *args, **kw):
-            calls.append(order)
-            return derive_array(a, axis, order, h, *args, **kw)
-
-        monkeypatch.setattr(fields, "_derive_array", counting)
+        calls = _count_stencils(monkeypatch)
         solve_linearized(u0, None, PAR, [0.0, 0.5])
         assert calls == [1] * 9  # J1 and the divergence share one pass
+
+    def test_zero_initial_data_skips_the_check(self, monkeypatch, grid16):
+        # a zero field passes the check trivially, so a solve from rest takes
+        # no stencil for it, and its states are those of the direct operators
+        calls = _count_stencils(monkeypatch)
+        states = solve_linearized(VectorField3.zeros(grid16), None, PAR, [0.0, 0.5])
+        assert calls == []
+        assert not any(c.samples.any() for s in states for c in (*s.u.components, s.p))
+        F = solenoidal_pulse_forcing(grid16, width=1.0, t_scale=0.5)
+        [state] = solve_linearized(VectorField3.zeros(grid16), F, PAR, [0.2])
+        in_solve = len(calls)
+        calls.clear()
+        u, p = forced_response(F, PAR, 0.2), pressure_field(F.at(0.2), PAR)
+        assert in_solve == len(calls) > 0  # the projection's and the pressure's only
+        assert [c.samples.tobytes() for c in (*state.u.components, state.p)] == \
+            [c.samples.tobytes() for c in (*u.components, p)]
 
     def test_reduces_to_heat_without_forcing(self, grid32):
         u0 = solenoidal_gaussian(grid32, width=1.0)
