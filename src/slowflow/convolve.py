@@ -1,19 +1,19 @@
 """Offset-lattice convolutions and singular-kernel cell averages.
 
 A kernel is sampled at lattice offsets z = k*h, |k| <= R per axis (odd-shaped
-array, center = offset 0), and the convolution out(x) = h^3 * sum_y K(x - y) U(y)
+array, center = offset 0) or, if even or odd along each axis, as the
+``Octant`` of offsets 0..R.  The convolution out(x) = h^3 * sum_y K(x - y) U(y)
 treats U as zero outside the box.  One FFT engine, ``SpectralAccumulator``,
 serves every FFT convolution; ``convolver`` transforms a kernel once for many
 fields, and a direct-sum path exists for oracle comparisons on small grids.
 
-Free-space padding (Hockney & Eastwood): the linear convolution of n samples
-with 2R+1 kernel taps has n + 2R entries, of which the window [R, R+n) is the
-result.  A cyclic transform of length P folds entry m onto m +- P, and no
-entry of the support lands in the window once P >= n + R, so the engine pads
-to P = next_fast_len(n + R), not to the full n + 2R.  A field's transform runs
-the last axis first, over its n^2 data lines only, and the inverse keeps the
-window after each axis pass, so the lines the padding leaves zero or the crop
-discards are never transformed; a kernel fills its box and takes one rfftn.
+Free-space padding (Hockney & Eastwood): a kernel centred in a cyclic box
+(offset m at index m mod P) gives the linear result on the window [0, n) once
+P >= n + R, and P is the smallest even fast length >= n + R.  Field transforms
+skip the lines the padding leaves zero or the crop discards.  A general kernel
+takes one rfftn; an octant kernel a DCT-I per even axis and -i times a DST-I
+per odd one, of length P/2 + 1 (Martucci, IEEE Trans. Signal Process. 42:1038,
+1994): n^3 samples, not (2n - 1)^3, and an even kernel's spectrum is real.
 
 Kernels with an integrable singularity at an offset are represented by their
 exact cell averages near the singular point (scale-invariant constants,
@@ -21,6 +21,7 @@ computed once by quadrature) and by midpoint values elsewhere.
 """
 
 import os
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
@@ -44,17 +45,22 @@ def fft_workers():
         return 1
 
 
+# A kernel even along every axis but odd_axis (odd there; None: even in all),
+# by its samples at the offsets 0..R of each axis.
+Octant = namedtuple("Octant", "samples odd_axis", defaults=(None,))
+
+
 def _crop_to_box(kernel, n):
     """The kernel and its radius, cropped to R <= n - 1: offsets beyond n - 1
     never connect two cells of the box, so the crop is exact."""
+    if isinstance(kernel, Octant):
+        return kernel._replace(samples=kernel.samples[:n, :n, :n]), min(len(kernel.samples), n) - 1
     shape = np.shape(kernel)
     if len(shape) != 3 or len(set(shape)) != 1 or shape[0] % 2 == 0:
         raise ValueError(f"kernel must be a 3D cube of odd side, got shape {shape}")
     R = (shape[0] - 1) // 2
-    if R > n - 1:
-        inner = slice(R - n + 1, R + n)
-        kernel, R = kernel[inner, inner, inner], n - 1
-    return kernel, R
+    inner = slice(max(0, R - n + 1), R + n)
+    return kernel[inner, inner, inner], min(R, n - 1)
 
 
 def convolver(kernel, n, h):
@@ -71,23 +77,19 @@ def convolver(kernel, n, h):
 
 
 def convolve_offsets(samples, kernel, h):
-    """h^3 * linear convolution of a field with an odd-shaped offset kernel."""
+    """h^3 * linear convolution of a field with an offset kernel (odd cube or octant)."""
     return convolver(kernel, samples.shape[0], h)(samples)
 
 
 class SpectralAccumulator:
     """Accumulate sums of kernel convolutions in the spectral domain.
 
-    All kernels must share one offset radius R; transforms are padded to
-    P = next_fast_len(n + R) (see the module docstring) and the inverse
-    transform runs once.
-    """
+    All kernels must share one offset radius R; transforms are padded to the
+    even P >= n + R of the module docstring, and the inverse runs once."""
 
     def __init__(self, n, radius_cells, h):
-        self.n = n
-        self.R = int(radius_cells)
-        self.h = h
-        self.P = sfft.next_fast_len(n + self.R)
+        self.n, self.R, self.h = n, int(radius_cells), h
+        self.P = 2 * sfft.next_fast_len((n + self.R + 1) // 2)
         self._acc = None
 
     def field_fft(self, samples):
@@ -97,22 +99,39 @@ class SpectralAccumulator:
                          workers=fft_workers())
 
     def kernel_fft(self, kernel):
-        if kernel.shape != (2 * self.R + 1,) * 3:
-            raise ValueError(f"kernel shape {kernel.shape} does not match radius {self.R}")
-        return sfft.rfftn(kernel, s=(self.P,) * 3, workers=fft_workers())
+        """The half spectrum of the kernel centred in the P^3 box.  An octant takes
+        a DCT-I or DST-I per axis, last first; axes 0 and 1 then reach length P
+        by K^[P - k] = +-K^[k].  Real if even, -i times real if odd."""
+        octant = isinstance(kernel, Octant)
+        shape = np.shape(kernel.samples if octant else kernel)
+        if shape != (self.R + 1 if octant else 2 * self.R + 1,) * 3:
+            raise ValueError(f"kernel shape {shape} does not match radius {self.R}")
+        P, M, w = self.P, self.P // 2, fft_workers()
+        if not octant:
+            box = np.pad(kernel, (0, P - shape[0]))  # offset m at index m + R
+            return sfft.rfftn(np.roll(box, -self.R, axis=(0, 1, 2)), workers=w)
+        odd, S = kernel.odd_axis, kernel.samples
+        for ax in (2, 1, 0):
+            if ax == odd:  # offsets 1..M-1; the spectrum is 0 at 0 and M
+                S = sfft.dst(S.take(range(1, len(S)), ax), type=1, n=M - 1, axis=ax, workers=w)
+                S = np.pad(S, [(int(a == ax),) * 2 for a in range(3)])
+            else:
+                S = sfft.dct(S, type=1, n=M + 1, axis=ax, workers=w)
+        out = np.empty((P, P, M + 1))
+        out[:M + 1, :M + 1] = S
+        np.multiply(S[M - 1:0:-1], 1 - 2 * (odd == 0), out=out[M + 1:, :M + 1])
+        np.multiply(out[:, M - 1:0:-1], 1 - 2 * (odd == 1), out=out[:, M + 1:])
+        return out if odd is None else -1j * out
 
     def add(self, field_fft, kernel_fft):
         term = field_fft * kernel_fft
-        if self._acc is None:
-            self._acc = term
-        else:
-            self._acc += term
+        self._acc = term if self._acc is None else np.add(self._acc, term, out=self._acc)
 
     def extract(self):
         """The accumulated sum cropped to the box, each axis pass keeping only
         the window; empties the accumulator, whose transform it overwrites."""
         acc, self._acc = self._acc, None
-        keep, w = slice(self.R, self.R + self.n), fft_workers()
+        keep, w = slice(0, self.n), fft_workers()
         acc = sfft.ifft(acc, axis=0, overwrite_x=True, workers=w)[keep]
         acc = sfft.ifft(acc, axis=1, overwrite_x=True, workers=w)[:, keep]
         acc = sfft.irfft(acc, n=self.P, axis=2, overwrite_x=True, workers=w)
@@ -154,14 +173,14 @@ def gauss_legendre_cell_average(fn, center, m=16):
 def _cell_average_block(fn, cells, symmetry, exact, shift=0.0):
     """Read-only block of unit-h averages of fn over the unit cubes centered at
     (i, j, k) + shift, i, j, k in ``cells``.  ``symmetry`` maps a cell to its
-    key and sign; each key is integrated once, or taken from ``exact``."""
+    key; each key is integrated once, or taken from ``exact``."""
     avgs = dict(exact)
     block = np.empty((len(cells),) * 3)
     for idx in product(range(len(cells)), repeat=3):
-        key, sign = symmetry(*(cells[m] for m in idx))
+        key = symmetry(*(cells[m] for m in idx))
         if key not in avgs:
             avgs[key] = gauss_legendre_cell_average(fn, np.array(key, float) + shift)
-        block[idx] = sign * avgs[key]
+        block[idx] = avgs[key]
     block.flags.writeable = False
     return block
 
@@ -169,14 +188,12 @@ def _cell_average_block(fn, cells, symmetry, exact, shift=0.0):
 @lru_cache(maxsize=None)
 def _lattice_cell_averages():
     """Unit-h cell averages of 1/(4 pi |z|) over the cells centered at integer
-    offsets |k|_inf <= NEAR, as a read-only (2 NEAR + 1)^3 block.
-
+    offsets 0 <= k <= NEAR per axis, as a read-only (NEAR + 1)^3 octant block.
     The offset-0 cell uses the exact centered-cube integral; values scale as
-    1/h.  Each distinct sorted |offset| triple is integrated once.
-    """
+    1/h.  Each distinct sorted offset triple is integrated once."""
     return _cell_average_block(
         lambda x, y, z: 1.0 / (4.0 * np.pi * np.sqrt(x * x + y * y + z * z)),
-        range(-NEAR, NEAR + 1), lambda *k: (tuple(sorted(map(abs, k))), 1),
+        range(NEAR + 1), lambda *k: tuple(sorted(k)),
         # centered unit cube = 8 corner half-cubes, each (1/4) of B3(-1)
         {(0, 0, 0): 8 * 0.25 * CORNER_CUBE_INV_R / (4.0 * np.pi)})
 
@@ -184,15 +201,12 @@ def _lattice_cell_averages():
 @lru_cache(maxsize=None)
 def _dipole_cell_averages():
     """Unit-h cell averages of z1/(4 pi |z|^3) over the cells centered at
-    integer offsets |k|_inf <= NEAR, as a read-only (2 NEAR + 1)^3 block.
-
-    Odd in z1: the cells of the z1 = 0 plane average to exactly zero.  Values
-    scale as 1/h^2; the z2 and z3 kernels are this block with axes permuted.
-    """
+    integer offsets 0 <= k <= NEAR per axis, as a read-only (NEAR + 1)^3 octant
+    block.  Odd in z1: the cells of the z1 = 0 plane average to exactly zero.
+    Values scale as 1/h^2; the z2 and z3 kernels are this block with axes permuted."""
     return _cell_average_block(
         lambda x, y, z: x / (4.0 * np.pi * (x * x + y * y + z * z) ** 1.5),
-        range(-NEAR, NEAR + 1),
-        lambda i, j, k: ((abs(i), *sorted((abs(j), abs(k)))), np.sign(i)),
+        range(NEAR + 1), lambda i, j, k: (i, *sorted((j, k))),
         {(0, j, k): 0.0 for j in range(NEAR + 1) for k in range(j, NEAR + 1)})
 
 
@@ -207,7 +221,7 @@ def _half_offset_inv_r2_averages():
     """
     return _cell_average_block(
         lambda x, y, z: 1.0 / (x * x + y * y + z * z), range(-NEAR, NEAR),
-        lambda *k: (tuple(sorted(m if m >= 0 else -1 - m for m in k)), 1),  # first-octant mirror
+        lambda *k: tuple(sorted(m if m >= 0 else -1 - m for m in k)),  # first-octant mirror
         {(0, 0, 0): CORNER_CUBE_INV_R2}, shift=0.5)
 
 
@@ -227,36 +241,35 @@ def inverse_square_weights(grid):
     return W
 
 
-def _offset_lattice(grid):
-    """Full-lattice offsets, |z|^2 (center set to 1) and the near-block slice."""
-    off = grid.offsets()
+def _octant_lattice(grid):
+    """Octant offsets 0..n-1, |z|^2 (offset 0 set to 1) and the near-block slice."""
+    off = grid.h * np.arange(grid.n)
     o2 = off ** 2
     R2 = o2[:, None, None] + o2[None, :, None] + o2[None, None, :]
-    c = grid.n - 1
-    R2[c, c, c] = 1.0
-    return off, R2, slice(c - NEAR, c + NEAR + 1)
+    R2[0, 0, 0] = 1.0
+    return off, R2, slice(0, NEAR + 1)
 
 
 def newton_kernel(grid):
-    """Offset kernel for the Newtonian potential 1/(4 pi r), full lattice."""
-    _, R2, sl = _offset_lattice(grid)
+    """Octant kernel of the Newtonian potential 1/(4 pi r), even in every axis."""
+    _, R2, sl = _octant_lattice(grid)
     K = 1.0 / (4.0 * np.pi * np.sqrt(R2))
     K[sl, sl, sl] = _lattice_cell_averages() / grid.h
-    return K
+    return Octant(K)
 
 
 def dipole_kernels(grid):
-    """Offset kernels K_i(z) = z_i/(4 pi |z|^3), i = 1,2,3, full lattice.
+    """Octant kernels K_i(z) = z_i/(4 pi |z|^3), i = 1,2,3, K_i odd in axis i.
 
     The kernel is harmonic away from 0 (midpoint values are 4th-order cell
     averages there); near cells use exact averages, the singular cell is 0.
     """
-    off, R2, sl = _offset_lattice(grid)
+    off, R2, sl = _octant_lattice(grid)
     denom = 4.0 * np.pi * R2 ** 1.5
     near_block = _dipole_cell_averages() / (grid.h * grid.h)
     kernels = []
     for comp in range(3):
         K = off.reshape([-1 if ax == comp else 1 for ax in range(3)]) / denom
         K[sl, sl, sl] = np.moveaxis(near_block, 0, comp)
-        kernels.append(K)
+        kernels.append(Octant(K, comp))
     return kernels

@@ -55,10 +55,9 @@ class Grid3:
         ax = self.axis()
         return np.meshgrid(ax, ax, ax, indexing="ij")
 
-    def offsets(self, radius_cells=None):
-        """Lattice-offset coordinates k*h for |k| <= radius (default: full n-1)."""
-        r = self.n - 1 if radius_cells is None else int(radius_cells)
-        return self.h * np.arange(-r, r + 1)
+    def offsets(self, radius_cells):
+        """Lattice-offset coordinates k*h for |k| <= radius_cells."""
+        return self.h * np.arange(-radius_cells, radius_cells + 1)
 
 
 def make_grid(n, L):
@@ -322,6 +321,14 @@ class DiagnosticsSample:
 
 
 def sample_diagnostics(u, t):
-    """W, J1, J2, V and D1 of one state from a single derivative pass."""
+    """W, J1, J2, V and D1 of one state from a single derivative pass and one
+    squaring pass, summed as ``flow_energy`` and ``speed_squared`` sum them."""
     (J1, J2), D1 = _norms(u, 2)
-    return DiagnosticsSample(float(t), flow_energy(u), J1, J2, sup_norm(u), D1)
+    speed2 = np.square(u.u1.samples)
+    W, buf = np.sum(speed2), None
+    for c in (u.u2, u.u3):
+        buf = np.square(c.samples, out=_like(c.samples, buf))
+        W += np.sum(buf)
+        speed2 += buf
+    return DiagnosticsSample(float(t), float(W * u.grid.cell_volume), J1, J2,
+                             float(np.sqrt(speed2.max())), D1)

@@ -23,3 +23,18 @@ def gauss32(grid32):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _full_lattice(octant):
+    """The (2R+1)^3 offset lattice of an octant kernel: its samples reflected
+    about offset 0 along each axis, negated along its odd axis."""
+    K = octant.samples
+    for ax in range(3):
+        tail = np.flip(K, ax).take(range(K.shape[ax] - 1), ax)  # offsets R..1
+        K = np.concatenate([-tail if ax == octant.odd_axis else tail, K], ax)
+    return K
+
+
+@pytest.fixture
+def full_lattice():
+    return _full_lattice

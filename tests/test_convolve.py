@@ -24,9 +24,9 @@ def test_fft_matches_direct_sum(rng):
 
 @pytest.mark.parametrize("radius", [6, 7])
 def test_fft_matches_direct_sum_for_wide_asymmetric_kernels(rng, radius):
-    # R = n-2 and n-1 sit at the tight-padding limit P >= n + R; R = 7 pads
-    # to the odd P = 15, whose half spectrum has no Nyquist line.  A random
-    # kernel has no symmetry that could hide a flipped or shifted window.
+    # R = n-2 and n-1 sit at the padding limit P >= n + R; R = 7 has the odd
+    # bound n + R = 15 and pads to the even P = 16.  A random kernel has no
+    # symmetry that could hide a flipped or shifted window.
     g = make_grid(8, 2.0)
     field = rng.standard_normal((8,) * 3)
     kernel = rng.standard_normal((2 * radius + 1,) * 3)
@@ -65,8 +65,9 @@ def test_convolver_transforms_the_kernel_once(rng, monkeypatch):
 
 
 def _full_box_convolution(samples, kernel, h):
-    """The engine before pruning: full-box rfftn / irfftn of both operands
-    padded to P^3, then the crop."""
+    """The engine before pruning and centring: full-box rfftn / irfftn of both
+    operands zero-padded to P^3, P = next_fast_len(n + R) (odd allowed), then
+    the window [R, R + n)."""
     n, R = samples.shape[0], (kernel.shape[0] - 1) // 2
     P = sfft.next_fast_len(n + R)
     out = sfft.irfftn(sfft.rfftn(samples, s=(P,) * 3) * sfft.rfftn(kernel, s=(P,) * 3),
@@ -77,7 +78,8 @@ def _full_box_convolution(samples, kernel, h):
 
 @pytest.mark.parametrize("n, radius", [(8, 7), (16, 4), (24, 23)])
 def test_pruned_transforms_match_the_full_box_path(rng, n, radius):
-    # P = 15 (odd), 20 and 48
+    # the engine pads to P = 16, 20 and 48 and keeps [0, n) of a centred
+    # kernel; the oracle pads to 15 (odd), 20 and 48 and keeps [R, R + n)
     field = rng.standard_normal((n,) * 3)
     kernel = rng.standard_normal((2 * radius + 1,) * 3)
     a = convolve_offsets(field, kernel, 0.25)
@@ -85,13 +87,13 @@ def test_pruned_transforms_match_the_full_box_path(rng, n, radius):
     np.testing.assert_allclose(a, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
 
 
-def test_multi_kernel_accumulator_matches_a_sum_of_direct_convolutions():
+def test_multi_kernel_accumulator_matches_a_sum_of_direct_convolutions(full_lattice):
     # representation_reconstruct sums three dipole convolutions (R = n - 1,
-    # P = 15 at n = 8) before one inverse transform
+    # P = 16 at n = 8, DST-I along each odd axis) before one inverse transform
     g = make_grid(8, 2.0)
     u = gaussian_bump(g, width=0.5)
     rec, _ = representation_reconstruct(u)
-    ref = sum(convolve_direct(derive(u, axis + 1).samples, K, g.h)
+    ref = sum(convolve_direct(derive(u, axis + 1).samples, full_lattice(K), g.h)
               for axis, K in enumerate(dipole_kernels(g)))
     np.testing.assert_allclose(rec.samples, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
@@ -133,9 +135,14 @@ def test_accumulator_rejects_a_kernel_of_another_shape(rng):
         acc.kernel_fft(rng.standard_normal((7, 7, 5)))
 
 
-@pytest.mark.parametrize("n, radius", [(24, 23), (24, 5), (40, 1), (64, 63)])
+@pytest.mark.parametrize("n, radius", [(24, 23), (24, 5), (40, 1), (64, 63), (8, 7), (14, 13)])
 def test_accumulator_pads_tightly(n, radius):
-    assert SpectralAccumulator(n, radius, 0.1).P == sfft.next_fast_len(n + radius)
+    # the smallest even fast length >= n + R: DCT-I needs an even period, so
+    # the odd bounds n + R = 15 and 27 pad to 16 and 28
+    P = SpectralAccumulator(n, radius, 0.1).P
+    assert P == 2 * sfft.next_fast_len((n + radius + 1) // 2)
+    assert P % 2 == 0 and P >= n + radius
+    assert all(sfft.next_fast_len(m) != m for m in range(n + radius, P) if m % 2 == 0)
 
 
 def test_cell_average_exact_for_polynomials():
@@ -159,24 +166,58 @@ def test_inverse_square_weights_match_exact_cell_averages():
         assert got == pytest.approx(exact, rel=2e-5)
 
 
-def test_dipole_kernels_are_odd():
+def test_dipole_kernels_are_odd(full_lattice):
     g = make_grid(12, 3.0)  # small but valid even grid
-    # make_grid requires n >= 8; 12 is fine
     Ks = dipole_kernels(g)
     for axis, K in enumerate(Ks):
-        flipped = np.flip(K, axis=axis)
-        np.testing.assert_allclose(K + flipped, 0.0, atol=1e-15)
+        assert K.odd_axis == axis and K.samples.shape == (g.n,) * 3
+        assert not K.samples.take(0, axis).any()  # the odd axis's offset-0 plane
+        F = full_lattice(K)
+        np.testing.assert_allclose(F + np.flip(F, axis=axis), 0.0, atol=1e-15)
+        for other in {0, 1, 2} - {axis}:
+            np.testing.assert_array_equal(F, np.flip(F, axis=other))
         c = g.n - 1
-        assert K[c, c, c] == 0.0
+        assert F[c, c, c] == 0.0
 
 
-def test_newton_kernel_symmetric_and_positive():
+def test_newton_kernel_symmetric_and_positive(full_lattice):
     g = make_grid(12, 3.0)
     N = newton_kernel(g)
-    assert np.all(N > 0)
+    assert N.odd_axis is None and N.samples.shape == (g.n,) * 3
+    assert np.all(N.samples > 0)
+    F = full_lattice(N)
     for axis in range(3):
-        np.testing.assert_allclose(N, np.flip(N, axis=axis), atol=1e-15)
+        np.testing.assert_allclose(F, np.flip(F, axis=axis), atol=1e-15)
     # far cells agree with the point kernel
     c = g.n - 1
     r = 5 * g.h
-    assert N[c + 5, c, c] == pytest.approx(1.0 / (4 * np.pi * r), rel=1e-4)
+    assert F[c + 5, c, c] == N.samples[5, 0, 0] == pytest.approx(1.0 / (4 * np.pi * r), rel=1e-4)
+
+
+@pytest.mark.parametrize("n", [8, 14, 24])
+def test_octant_spectra_match_rfftn_of_the_centred_full_lattice(full_lattice, n):
+    # formerly odd P = 15, 27 and 48; now P = 16, 28 and 48.  Each offset m of
+    # the full lattice goes to index m mod P of the box, one rfftn transforms it
+    g = make_grid(n, 2.0)
+    acc = SpectralAccumulator(n, n - 1, g.h)
+    pos = np.arange(-(n - 1), n) % acc.P
+    for K in [newton_kernel(g)] + dipole_kernels(g):
+        box = np.zeros((acc.P,) * 3)
+        box[np.ix_(pos, pos, pos)] = full_lattice(K)
+        ref = sfft.rfftn(box)
+        got = acc.kernel_fft(K)
+        assert got.shape == ref.shape
+        assert np.isrealobj(got) == (K.odd_axis is None)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+def test_fft_matches_direct_sum_at_full_radius_on_n14(rng, full_lattice):
+    # R = n - 1 = 13 pads to P = 28 (formerly 27): a random kernel through the
+    # centred rfftn path, and the Newton octant through the DCT-I path
+    g = make_grid(14, 3.5)
+    field = rng.standard_normal((14,) * 3)
+    kernel, N = rng.standard_normal((27,) * 3), newton_kernel(g)
+    for fast, dense in ((kernel, kernel), (N, full_lattice(N))):
+        a = convolve_offsets(field, fast, g.h)
+        b = convolve_direct(field, dense, g.h)
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())

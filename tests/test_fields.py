@@ -321,6 +321,22 @@ class TestDerivativePass:
             np.testing.assert_array_equal(u.speed_squared(),
                                           sum(c.samples ** 2 for c in u.components))
 
+    @pytest.mark.parametrize("n", [24, 40])
+    @pytest.mark.parametrize("decades", [0, 12])
+    def test_energy_and_speed_take_one_squaring_pass(self, rng, n, decades):
+        # W and V from one squaring pass per component are bit for bit those of
+        # flow_energy and sup_norm, also with components of different layouts
+        g = make_grid(n, 3.0)
+        arrays = [rng.standard_normal((n,) * 3) * 10.0 ** rng.uniform(-decades / 2, decades / 2,
+                                                                         (n,) * 3)
+                  for _ in range(3)]
+        for layouts in ((np.ascontiguousarray,) * 3,
+                        (np.asfortranarray, np.ascontiguousarray, np.asfortranarray)):
+            u = VectorField3.from_arrays(g, *(f(a) for f, a in zip(layouts, arrays)))
+            s = sample_diagnostics(u, 0.0)
+            assert s.W == flow_energy(u)
+            assert s.V == sup_norm(u)
+
     def test_diagnostics_do_not_depend_on_the_blas_thread_count(self):
         # a BLAS dot product sums in an order set by its thread count; on 40^3
         # values spread over 12 decades that changes the last bits of J1 or J2

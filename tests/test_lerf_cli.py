@@ -386,26 +386,30 @@ def test_thread_env_var_does_not_change_results(tmp_path, monkeypatch, rng):
 
 def test_forced_solve_is_byte_identical_across_thread_counts(tmp_path):
     # the heat step and the Duhamel node loop run on BLAS, the Newtonian
-    # convolutions on the FFT workers: neither thread count may change a byte
+    # convolutions (DCT-I kernel spectrum) and the representation check's
+    # dipole convolutions (DST-I along each odd axis) on the FFT workers:
+    # neither thread count may change a byte
     path = _write_config(tmp_path, {
         "grid": {"n": 24, "L": 4.0},
         "forcing": {"generator": "gradient_pulse", "params": {"width": 1.0, "t_scale": 0.5}},
         "params": {"nu": 0.25, "rho": 1.0},
         "times": {"start": 0.0, "end": 0.3, "count": 3},
     })
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, SLOWFLOW_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-m", "slowflow.cli", "solve",
-             "--config", str(path), "--out", str(out)],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert outs[0].keys() == outs[1].keys() and len(outs[0]) == 3 * 4 + 2
-    for name in outs[0]:
-        assert outs[0][name] == outs[1][name], f"{name} differs between thread counts"
+    for command, extra, files in (("solve", [], 3 * 4 + 2),
+                                  ("verify", ["--check", "representation"], 2)):
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{command}{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, SLOWFLOW_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "slowflow.cli", command,
+                 "--config", str(path), "--out", str(out), *extra],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outs[0].keys() == outs[1].keys() and len(outs[0]) == files
+        for name in outs[0]:
+            assert outs[0][name] == outs[1][name], f"{command} {name} differs between thread counts"
 
 
 def test_verify_runs_the_representation_check(tmp_path):
