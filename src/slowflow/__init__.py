@@ -10,9 +10,10 @@ from .analysis import (SequenceProbe, convolution_bound_check, hardy_check,
 from .energy import (DiagnosticsSeries, bound_suite, continuity_probe,
                      diagnostics_series, energy_balance_residual,
                      energy_inequality_check, holder_half_report)
-from .fields import (DiagnosticsSample, Grid3, ScalarField, VectorField3,
-                     derive, divergence, flow_energy, integrate, make_grid,
-                     sample_diagnostics, seminorm_jm, sup_derivative, sup_norm)
+from .fields import (DiagnosticsSample, FirstOrderSample, Grid3, ScalarField,
+                     VectorField3, derive, divergence, first_order_diagnostics,
+                     flow_energy, integrate, make_grid, sample_diagnostics,
+                     seminorm_jm, sup_derivative, sup_norm)
 from .lerf import read_field, write_field
 from .mollifier import (MollifierKernel, make_kernel, mollify,
                         mollify_derivative)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolve import (SpectralAccumulator, convolve_offsets, dipole_kernels,
-                       inverse_square_weights)
+                       inverse_square_weights, offset_lattice)
 from .fields import ScalarField, derive, integrate
 from .report import make_report
 
@@ -77,9 +77,9 @@ def time_minkowski_check(fields, times):
 def convolution_bound_check(kernel, U):
     """L2 norm squared of (kernel * U) <= (L1 mass of kernel)^2 * L2 norm squared of U.
 
-    ``kernel`` is an offset-lattice array, a 3D cube of odd side (see convolve module).
+    ``kernel`` is an offset-lattice array (a 3D cube of odd side) or an Octant.
     """
-    kernel = np.asarray(kernel, dtype=np.float64)
+    kernel = np.asarray(offset_lattice(kernel), dtype=np.float64)
     if not np.all(np.isfinite(kernel)):
         raise ValueError("kernel must be integrable (finite samples)")
     h = U.grid.h

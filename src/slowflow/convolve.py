@@ -113,8 +113,8 @@ class SpectralAccumulator:
         odd, S = kernel.odd_axis, kernel.samples
         for ax in (2, 1, 0):
             if ax == odd:  # offsets 1..M-1; the spectrum is 0 at 0 and M
-                S = sfft.dst(S.take(range(1, len(S)), ax), type=1, n=M - 1, axis=ax, workers=w)
-                S = np.pad(S, [(int(a == ax),) * 2 for a in range(3)])
+                T, S = S.swapaxes(0, ax)[1:], np.zeros(S.shape[:ax] + (M + 1,) + S.shape[ax + 1:])
+                S.swapaxes(0, ax)[1:M] = sfft.dst(T, type=1, n=M - 1, axis=0, workers=w)
             else:
                 S = sfft.dct(S, type=1, n=M + 1, axis=ax, workers=w)
         out = np.empty((P, P, M + 1))
@@ -138,10 +138,22 @@ class SpectralAccumulator:
         return acc[..., keep] * self.h ** 3
 
 
+def offset_lattice(kernel):
+    """The kernel as a (2R+1)^3 offset lattice: an Octant reflected about offset
+    0 along each axis (negated along its odd axis), any other kernel as given."""
+    if not isinstance(kernel, Octant):
+        return kernel
+    k = abs(np.arange(1 - len(kernel.samples), len(kernel.samples)))  # offsets -R..R
+    K = kernel.samples[np.ix_(k, k, k)]
+    if kernel.odd_axis is not None:
+        K.swapaxes(0, kernel.odd_axis)[:len(k) // 2] *= -1
+    return K
+
+
 def convolve_direct(samples, kernel, h):
     """Direct-sum reference convolution (small grids / small kernels only)."""
     n = samples.shape[0]
-    kernel, R = _crop_to_box(kernel, n)
+    kernel, R = _crop_to_box(offset_lattice(kernel), n)
     out = np.zeros_like(samples)
     for di, dj, dk in product(range(-R, R + 1), repeat=3):
         w = kernel[di + R, dj + R, dk + R]

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import _derivatives, flow_energy, sup_norm
+from .fields import _derive_array, flow_energy, sup_norm
 from .report import make_report, make_value_report
 
 __all__ = [
@@ -22,16 +22,24 @@ ENERGY_INEQ_RTOL = 1e-10  # energy inequality tolerance, relative to sqrt(W(0))
 
 @dataclass
 class DiagnosticsSeries:
-    samples: list
+    """States and forcing norms.  ``samples`` and the J2 column read each
+    state's ``diagnostics``, the other columns its ``first_order``."""
+
+    states: list
     forcing_norms: list
     metadata: dict = field(default_factory=dict)
 
     @property
+    def samples(self):
+        return [s.diagnostics for s in self.states]
+
+    @property
     def times(self):
-        return np.array([s.t for s in self.samples])
+        return np.array([s.t for s in self.states])
 
     def column(self, name):
-        return np.array([getattr(s, name) for s in self.samples])
+        return np.array([getattr(s.diagnostics if name == "J2" else s.first_order, name)
+                         for s in self.states])
 
 
 def _check_states(states):
@@ -52,16 +60,15 @@ def _forcing_l2(X):
 
 
 def diagnostics_series(states, forcing=None, params=None):
-    """Per-state W, J1, J2, V, D1 plus the forcing L2 norm at each time."""
+    """Per-state W, J1, J2, V, D1 (taken when read) plus the forcing L2 norm at each time."""
     grid = _check_states(states)
-    samples = [s.diagnostics for s in states]
     fnorms = ([0.0] * len(states) if forcing is None
               else [_forcing_l2(forcing.at(s.t)) for s in states])
     md = {"grid_n": grid.n, "grid_L": grid.L}
     if params is not None:
         md["nu"] = params.nu
         md["rho"] = params.rho
-    return DiagnosticsSeries(samples, fnorms, md)
+    return DiagnosticsSeries(list(states), fnorms, md)
 
 
 def energy_balance_residual(series, states, forcing, params, rel_tol=0.02):
@@ -81,10 +88,8 @@ def energy_balance_residual(series, states, forcing, params, rel_tol=0.02):
     if forcing is not None:
         for k, s in enumerate(states):
             X = forcing.at(s.t)
-            work_rate[k] = sum(
-                float(np.sum(s.u.components[i].samples * X.components[i].samples))
-                for i in range(3)
-            ) * s.grid.cell_volume
+            work_rate[k] = sum(float(np.sum(a.samples * b.samples))
+                               for a, b in zip(s.u.components, X.components)) * s.grid.cell_volume
     dissip = np.array([params.nu * np.trapezoid(J1sq[: k + 1], t[: k + 1]) for k in range(len(t))])
     work = np.array([np.trapezoid(work_rate[: k + 1], t[: k + 1]) for k in range(len(t))])
     scale = float(max(W.max(), dissip.max(), np.abs(work).max()))
@@ -161,10 +166,10 @@ def bound_suite(u0, states, forcing, params, scaling=False):
     V/J1 ~ t^{-1/4}, D_m/sqrt(W) ~ t^{-(2m+3)/4} and J_m/sqrt(W) ~ t^{-m/2};
     they require at least 5 positive-time samples spanning a decade.
 
-    Every column is read from ``FlowState.diagnostics``: a state that
-    ``diagnostics_series`` has seen takes no derivative pass here.  The
-    forcing, when given, is sampled once per state for both ||X|| and sup|X|.
-    ``u0`` is not used.
+    Every column is read from ``FlowState.first_order``, and from
+    ``FlowState.diagnostics`` when the fit reads J2: a state diagnosed that
+    deep already takes no derivative pass here.  The forcing, when given, is
+    sampled once per state for both ||X|| and sup|X|.  ``u0`` is not used.
     """
     _check_states(states)
     t = np.array([float(s.t) for s in states])
@@ -179,8 +184,8 @@ def bound_suite(u0, states, forcing, params, scaling=False):
     pos = t > 0
     if fit and (pos.sum() < 5 or t[pos].max() / t[pos].min() < 10.0):
         raise ValueError("fewer than 5 usable time samples spanning a decade")
-    W, J1, J2, V, D1 = (np.array([getattr(s.diagnostics, k) for s in states])
-                        for k in ("W", "J1", "J2", "V", "D1"))
+    sample = [s.diagnostics if fit else s.first_order for s in states]
+    W, J1, V, D1 = (np.array([getattr(d, k) for d in sample]) for k in ("W", "J1", "V", "D1"))
 
     if forced:
         # forced-response ratio bounds; meaningful for runs started from rest
@@ -207,7 +212,8 @@ def bound_suite(u0, states, forcing, params, scaling=False):
                _monotone_report("energy-monotone", W, 1e-10),
                _monotone_report("gradient-seminorm-monotone", J1, 1e-10)]
     if fit:
-        tp, Vp, J1p, J2p, D1p = t[pos], V[pos], J1[pos], J2[pos], D1[pos]
+        tp, Vp, J1p, D1p = t[pos], V[pos], J1[pos], D1[pos]
+        J2p = np.array([d.J2 for d in sample])[pos]
         sqW = np.sqrt(W[pos])
         reports.append(_scaling_report("speed-over-gradient-decay", tp, Vp / J1p, -0.25))
         reports.append(_scaling_report("sup-speed-decay-rate", tp, Vp / sqW, -0.75))
@@ -227,7 +233,8 @@ def max_increment_structure(u, separations_cells, core_half_cells):
     core = slice(n // 2 - core_half_cells, n // 2 + core_half_cells)
     # the 9 gradient components cropped to the core, each axis in turn leading
     views = [np.moveaxis(d[core, core, core], axis, 0) for c in u.components
-             for d in _derivatives(c.samples, h, 1) for axis in range(3)]
+             for d in [_derive_array(c.samples, ax, 1, h) for ax in range(3)]
+             for axis in range(3)]
     out = []
     for m in separations_cells:
         if m < 1:

@@ -21,10 +21,7 @@ class LerfError(ValueError):
 
 
 def _payload(field):
-    if isinstance(field, ScalarField):
-        comps = (field,)
-    else:
-        comps = field.components
+    comps = (field,) if isinstance(field, ScalarField) else field.components
     blocks = [c.samples.ravel(order="F").astype("<f8", copy=False).tobytes() for c in comps]
     return len(comps), b"".join(blocks)
 
@@ -55,10 +52,6 @@ def read_field(path):
         if len(payload) > need:
             raise LerfError("trailing bytes after payload")
     raw = np.frombuffer(payload, dtype="<f8")
-    comps = []
-    for c in range(count):
-        block = raw[c * n ** 3:(c + 1) * n ** 3]
-        comps.append(ScalarField(grid, block.reshape((n, n, n), order="F").copy()))
-    if count == 1:
-        return comps[0]
-    return VectorField3(*comps)
+    comps = [ScalarField(grid, block.reshape((n, n, n), order="F").copy())
+             for block in raw.reshape(count, n ** 3)]
+    return comps[0] if count == 1 else VectorField3(*comps)

@@ -40,8 +40,7 @@ class VerificationReport:
 
 def make_report(name, lhs, rhs, tol, metadata=None):
     """Inequality report lhs <= rhs, accepted up to tol."""
-    lhs = float(lhs)
-    rhs = float(rhs)
+    lhs, rhs = float(lhs), float(rhs)
     md = dict(metadata or {})
     md["tolerance"] = float(tol)
     return VerificationReport(
@@ -52,14 +51,9 @@ def make_report(name, lhs, rhs, tol, metadata=None):
 
 def make_value_report(name, value, target, tol, metadata=None):
     """Closeness report |value - target| <= tol (stored as lhs/rhs)."""
-    value = float(value)
-    target = float(target)
-    md = dict(metadata or {})
-    md["tolerance"] = float(tol)
-    return VerificationReport(
-        name=name, lhs=value, rhs=target, margin=target - value,
-        passed=bool(abs(value - target) <= tol), metadata=md,
-    )
+    report = make_report(name, value, target, tol, metadata)
+    report.passed = bool(abs(report.lhs - report.rhs) <= tol)
+    return report
 
 
 def write_reports_json(reports, path):

@@ -30,7 +30,7 @@ from scipy.special import erf
 
 from . import fields
 from .convolve import _gauss_legendre, convolver, newton_kernel
-from .fields import ScalarField, VectorField3, derive, divergence, sample_diagnostics
+from .fields import ScalarField, VectorField3, derive, divergence
 from .report import make_report
 
 __all__ = [
@@ -65,7 +65,7 @@ class FluidParams:
 
 @dataclass(frozen=True)
 class FlowState:
-    """Immutable velocity/pressure snapshot at time t, with its diagnosis."""
+    """Immutable velocity/pressure snapshot at time t, diagnosed as deep as it is read."""
 
     t: float
     u: VectorField3
@@ -83,8 +83,13 @@ class FlowState:
 
     @cached_property
     def diagnostics(self):
-        """W, J1, J2, V and D1 of u from one derivative pass, taken on first use."""
-        return sample_diagnostics(self.u, self.t)
+        """W, J1, J2, V and D1 of u from one 27-stencil pass, taken on first use."""
+        return fields.sample_diagnostics(self.u, self.t)
+
+    @cached_property
+    def first_order(self):
+        """W, J1, V and D1 of u: the diagnostics if taken, else a 9-stencil pass."""
+        return self.__dict__.get("diagnostics") or fields.first_order_diagnostics(self.u, self.t)
 
 
 class ForcingField:

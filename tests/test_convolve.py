@@ -6,10 +6,11 @@ import scipy.fft as sfft
 
 from slowflow import ScalarField, derive, make_grid
 from slowflow.analysis import convolution_bound_check, representation_reconstruct
-from slowflow.convolve import (SpectralAccumulator, convolve_direct,
+from slowflow.convolve import (Octant, SpectralAccumulator, convolve_direct,
                                convolve_offsets, convolver, dipole_kernels,
                                gauss_legendre_cell_average,
-                               inverse_square_weights, newton_kernel)
+                               inverse_square_weights, newton_kernel,
+                               offset_lattice)
 from slowflow.fieldgen import gaussian_bump
 
 
@@ -221,3 +222,23 @@ def test_fft_matches_direct_sum_at_full_radius_on_n14(rng, full_lattice):
         a = convolve_offsets(field, fast, g.h)
         b = convolve_direct(field, dense, g.h)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
+
+
+@pytest.mark.parametrize("odd_axis", [None, 0, 1, 2])
+def test_offset_lattice_reflects_an_octant_as_the_oracle_does(rng, full_lattice, odd_axis):
+    octant = Octant(rng.standard_normal((5,) * 3), odd_axis)
+    got = offset_lattice(octant)
+    assert got.shape == (9,) * 3
+    np.testing.assert_array_equal(got, full_lattice(octant))
+    cube = rng.standard_normal((7,) * 3)
+    assert offset_lattice(cube) is cube
+
+
+def test_octant_and_its_full_lattice_give_identical_direct_sums_and_bounds(rng, full_lattice):
+    g = make_grid(8, 2.0)
+    U = ScalarField(g, rng.standard_normal((8,) * 3))
+    for K in [newton_kernel(g)] + dipole_kernels(g):
+        F = full_lattice(K)
+        np.testing.assert_array_equal(convolve_direct(U.samples, K, g.h),
+                                      convolve_direct(U.samples, F, g.h))
+        assert vars(convolution_bound_check(K, U)) == vars(convolution_bound_check(F, U))

@@ -323,16 +323,18 @@ class TestBoundSuiteFirstOrder:
     def test_series_then_bound_suite_takes_one_diagnosis_per_state(self, monkeypatch, grid16):
         u0, states = _heat_states(grid16, times=(0.0, 0.1, 0.2))
         calls = _count_stencils(monkeypatch)
-        diagnostics_series(states, None, PAR)
-        # per component: 3 first, 3 pure second and 3 mixed derivatives
-        assert len(calls) == 27 * len(states)
+        ser = diagnostics_series(states, None, PAR)
+        assert calls == []  # nothing is diagnosed before a column is read
+        energy_inequality_check(ser)
+        # per component: the 3 first derivatives, no second-order stencil
+        assert calls == [1] * 9 * len(states)
         calls.clear()
         bound_suite(u0, states, None, PAR, scaling=False)
         assert calls == []
 
-    def test_unforced_audit_takes_117_stencils_for_4_times(self, monkeypatch, grid16):
+    def test_unforced_audit_takes_45_stencils_for_4_times(self, monkeypatch, grid16):
         # solve_linearized's solenoidal check takes the 9 first derivatives,
-        # then each state one 27-stencil diagnosis, shared by every check
+        # then each state one 9-stencil first-order diagnosis, shared by every check
         u0 = solenoidal_gaussian(grid16, width=1.0)
         calls = _count_stencils(monkeypatch)
         states = solve_linearized(u0, None, PAR, [0.0, 0.1, 0.2, 0.3])
@@ -340,7 +342,35 @@ class TestBoundSuiteFirstOrder:
         energy_balance_residual(ser, states, None, PAR)
         energy_inequality_check(ser)
         bound_suite(u0, states, None, PAR)
-        assert len(calls) == 9 + 27 * 4 == 117
+        assert calls == [1] * (9 + 9 * 4)
+        assert len(calls) == 45
+
+    def test_reading_samples_first_takes_27_stencils_then_audits_take_none(
+            self, monkeypatch, grid16):
+        u0, states = _heat_states(grid16, times=(0.0, 0.1, 0.2, 0.3))
+        calls = _count_stencils(monkeypatch)
+        ser = diagnostics_series(states, None, PAR)
+        assert ser.samples == [s.diagnostics for s in states]
+        # per component: 3 first, 3 pure second and 3 mixed derivatives
+        assert len(calls) == 27 * len(states)
+        assert calls.count(2) == 9 * len(states)
+        calls.clear()
+        energy_balance_residual(ser, states, None, PAR)
+        energy_inequality_check(ser)
+        bound_suite(u0, states, None, PAR, scaling=False)
+        assert all(s.first_order is s.diagnostics for s in states)
+        assert calls == []
+
+    def test_scaling_fit_takes_one_full_pass_per_cold_state(self, monkeypatch, grid16):
+        u0, states = _heat_states(grid16, seed=4, times=self.DECADE)
+        calls = _count_stencils(monkeypatch)
+        bound_suite(u0, states, None, PAR, scaling=True)
+        assert len(calls) == 27 * len(states)
+        calls.clear()
+        ser = diagnostics_series(states, None, PAR)
+        assert ser.samples == [s.diagnostics for s in states]
+        assert np.array_equal(ser.column("J1"), [s.diagnostics.J1 for s in states])
+        assert calls == []
 
     def test_forced_branch_samples_each_time_once(self, ramp_run):
         F, par, states = ramp_run
@@ -373,16 +403,30 @@ class TestStateDiagnosis:
             F, par = None, PAR
             states = _heat_states(grid16, times=(0.0, 0.1, 0.2))[1]
         states = _undiagnosed(states)
-        diagnosed = []
-        sample = stokes.sample_diagnostics
-        monkeypatch.setattr(stokes, "sample_diagnostics",
-                            lambda u, t: (diagnosed.append(u), sample(u, t))[1])
+        diagnosed = {1: [], 2: []}
+        for m, name in ((1, "first_order_diagnostics"), (2, "sample_diagnostics")):
+            monkeypatch.setattr(fields, name, lambda u, t, m=m, fn=getattr(fields, name):
+                                (diagnosed[m].append(u), fn(u, t))[1])
         ser = diagnostics_series(states, F, par)
         energy_balance_residual(ser, states, F, par)
         energy_inequality_check(ser)
         bound_suite(None, states, F, par)
-        assert [id(u) for u in diagnosed] == [id(s.u) for s in states]
+        # the audits read first order only: one 9-stencil pass per state, no full one
+        assert [id(u) for u in diagnosed[1]] == [id(s.u) for s in states]
+        assert diagnosed[2] == []
         assert ser.samples == [s.diagnostics for s in states]
+        assert [id(u) for u in diagnosed[2]] == [id(s.u) for s in states]
+        energy_inequality_check(ser)
+        assert len(diagnosed[1]) == len(diagnosed[2]) == len(states)
+
+    def test_first_order_is_the_diagnostics_once_taken(self, grid16):
+        u = random_solenoidal(grid16, seed=3)
+        cold = FlowState(0.5, u, ScalarField.zeros(grid16))
+        warm = FlowState(0.5, u, ScalarField.zeros(grid16))
+        full = warm.diagnostics
+        assert warm.first_order is full
+        assert not hasattr(cold.first_order, "J2")
+        assert tuple(cold.first_order) == tuple(getattr(full, k) for k in cold.first_order._fields)
 
 
 class TestHolderProbe:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from slowflow import (ScalarField, VectorField3, derive, divergence,
-                      flow_energy, integrate, make_grid, sample_diagnostics,
-                      seminorm_jm, sup_derivative, sup_norm)
+                      first_order_diagnostics, flow_energy, integrate, make_grid,
+                      sample_diagnostics, seminorm_jm, sup_derivative, sup_norm)
 from slowflow import fields
 from slowflow.fieldgen import gaussian_bump, solenoidal_gaussian
 
@@ -336,6 +336,17 @@ class TestDerivativePass:
             s = sample_diagnostics(u, 0.0)
             assert s.W == flow_energy(u)
             assert s.V == sup_norm(u)
+
+    @pytest.mark.parametrize("n", [16, 24, 40])
+    @pytest.mark.parametrize("decades", [0, 12])
+    def test_first_order_diagnostics_equal_the_full_pass_bit_for_bit(self, rng, n, decades):
+        g = make_grid(n, 3.0)
+        u = VectorField3.from_arrays(g, *(
+            rng.standard_normal((n,) * 3) * 10.0 ** rng.uniform(-decades / 2, decades / 2, (n,) * 3)
+            for _ in range(3)))
+        first, full = first_order_diagnostics(u, 0.25), sample_diagnostics(u, 0.25)
+        assert first._fields == ("t", "W", "J1", "V", "D1")
+        assert all(getattr(first, k) == getattr(full, k) for k in first._fields)
 
     def test_diagnostics_do_not_depend_on_the_blas_thread_count(self):
         # a BLAS dot product sums in an order set by its thread count; on 40^3

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slowflow import ScalarField, VectorField3, energy, fieldgen, make_grid
+from slowflow import ScalarField, VectorField3, energy, fieldgen, fields, make_grid
 from slowflow.analysis import representation_reconstruct
 from slowflow.cli import ConfigError, ExperimentConfig, main, run_experiment
 from slowflow.report import make_report
@@ -476,6 +476,25 @@ def test_energy_study_solves_with_the_configured_forcing(tmp_path):
     # the forced solve's residuals (an unforced solve from rest gives 0, 0);
     # their growth is the time-sampling bias of the 4-sample trapezoid
     assert values == pytest.approx([0.03006, 0.03309], rel=1e-3)
+
+
+@pytest.mark.parametrize("command,grids,first,second", [
+    ("convergence-study", 2, 9, 0), ("verify", 1, 18, 9)])
+def test_each_state_takes_the_stencils_its_command_reads(monkeypatch, tmp_path, command,
+                                                         grids, first, second):
+    # per grid: the 9 first derivatives of the solenoidal check, then per state
+    # 9 first-order stencils for the energy_balance study, which reads first
+    # order only, or all 27 (18 of them first-order, 9 pure second) for verify,
+    # whose diagnostics.csv reads J2 before its audits reuse that pass
+    calls = []
+    difference = fields._difference
+    monkeypatch.setattr(fields, "_difference",
+                        lambda a, axis, order, out: (calls.append(order),
+                                                     difference(a, axis, order, out))[1])
+    path = _write_config(tmp_path, dict(ENERGY_STUDY, initial={"generator": "solenoidal_gaussian"}))
+    main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert calls.count(1) == grids * (9 + first * 4)
+    assert calls.count(2) == grids * second * 4
 
 
 @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not-json"])
