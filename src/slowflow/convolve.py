@@ -173,6 +173,14 @@ def _gauss_legendre(m):
     return xg, wg
 
 
+def _gauss_panels(a, b, panels, m):
+    """Nodes and weights of composite m-point Gauss-Legendre on equal panels of [a, b]."""
+    x, w = _gauss_legendre(m)
+    half = 0.5 * (b - a) / panels
+    nodes = (a + half * (2 * np.arange(panels) + 1))[:, None] + half * x
+    return nodes.ravel(), half * np.tile(w, panels)
+
+
 def gauss_legendre_cell_average(fn, center, m=16):
     """Average of fn over the unit cube centered at ``center`` (GL m^3 rule)."""
     xg, wg = _gauss_legendre(m)

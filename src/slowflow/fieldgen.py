@@ -42,7 +42,7 @@ def gaussian_mixture(grid, rng, n_bumps=3, width_range=(0.6, 1.4), center_radius
 
 def _curl_gaussian_arrays(grid, width, center, axis_vec, amplitude):
     """curl(g * e) for a Gaussian bump g and constant direction e (solenoidal)."""
-    X1, X2, X3 = grid.meshgrid()
+    X1, X2, X3 = grid.meshgrid(sparse=True)
     cx, cy, cz = center
     dx, dy, dz = X1 - cx, X2 - cy, X3 - cz
     g = amplitude * np.exp(-(dx ** 2 + dy ** 2 + dz ** 2) / (2.0 * width ** 2))
@@ -133,7 +133,7 @@ def ramped_forcing(grid, shape, lap_shape, nu, t_ramp):
 
 def _gaussian_laplacian_curl(grid, width, center, axis_vec, amplitude):
     """Componentwise Laplacian of the curl-Gaussian field (analytic)."""
-    X1, X2, X3 = grid.meshgrid()
+    X1, X2, X3 = grid.meshgrid(sparse=True)
     cx, cy, cz = center
     dx, dy, dz = X1 - cx, X2 - cy, X3 - cz
     r2 = dx ** 2 + dy ** 2 + dz ** 2
@@ -168,7 +168,7 @@ def gradient_pulse_forcing(grid, width=1.0, amplitude=1.0, t_scale=1.0):
     """Irrotational forcing X = q(t) grad(phi), phi a Gaussian bump."""
     if not (width > 0 and t_scale > 0):
         raise ValueError(f"width and t_scale must be > 0, got {width} and {t_scale}")
-    X1, X2, X3 = grid.meshgrid()
+    X1, X2, X3 = grid.meshgrid(sparse=True)
     r2 = X1 ** 2 + X2 ** 2 + X3 ** 2
     phi = amplitude * np.exp(-r2 / (2.0 * width ** 2))
     gcomp = (-X1 / width ** 2 * phi, -X2 / width ** 2 * phi, -X3 / width ** 2 * phi)

@@ -52,9 +52,10 @@ class Grid3:
         """Cell-center coordinates along one axis: -L + (k + 1/2) h."""
         return -self.L + (np.arange(self.n) + 0.5) * self.h
 
-    def meshgrid(self):
+    def meshgrid(self, sparse=False):
+        """Coordinate arrays X1, X2, X3; sparse: shapes (n,1,1), (1,n,1), (1,1,n)."""
         ax = self.axis()
-        return np.meshgrid(ax, ax, ax, indexing="ij")
+        return np.meshgrid(ax, ax, ax, indexing="ij", sparse=sparse)
 
     def offsets(self, radius_cells):
         """Lattice-offset coordinates k*h for |k| <= radius_cells."""

@@ -25,11 +25,10 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erf
 
 from . import fields
-from .convolve import _gauss_legendre, convolver, newton_kernel
+from .convolve import _gauss_panels, convolver, newton_kernel
 from .fields import ScalarField, VectorField3, derive, divergence
 from .report import make_report
 
@@ -209,16 +208,6 @@ def oseen_decay_constant(displacements, taus, params):
     return best
 
 
-def _phi_from_quadrature(r, nu_tau):
-    """Oracle route for Phi: radial integral of the one-dimensional heat profile
-    E(alpha) = exp(-alpha^2/(4 nu tau)) / (4 pi^{3/2} sqrt(nu tau)), by adaptive
-    quadrature.  Equals erf(r/(2 sqrt(nu tau)))/(4 pi r)."""
-    c = 1.0 / (4.0 * SQRT_PI ** 3 * np.sqrt(nu_tau))
-    val, _ = quad(lambda a: np.exp(-a * a / (4.0 * nu_tau)), 0.0, r,
-                  epsabs=1e-14, epsrel=1e-13)
-    return c * val / r
-
-
 def _duhamel_rule(t, h, nu):
     """Time-lag nodes tau_k and weights of the integral over [h^2/(32 nu), t]:
     composite GAUSS_POINTS-point Gauss-Legendre panels, PANELS_PER_DECADE per
@@ -229,10 +218,9 @@ def _duhamel_rule(t, h, nu):
     if a >= b:
         raise ValueError("under-resolved final subinterval: t below the quadrature floor")
     panels = max(1, int(np.ceil(PANELS_PER_DECADE * (b - a) / np.log(10.0))))
-    x, w = _gauss_legendre(GAUSS_POINTS)
-    half = 0.5 * (b - a) / panels
-    taus = np.exp((a + half * (2 * np.arange(panels) + 1))[:, None] + half * x).ravel()
-    return taus, half * np.tile(w, panels) * taus
+    s, w = _gauss_panels(a, b, panels, GAUSS_POINTS)
+    taus = np.exp(s)
+    return taus, w * taus
 
 
 def forced_response(X, params, t, assume_solenoidal=False):

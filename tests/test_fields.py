@@ -11,6 +11,7 @@ from slowflow import (ScalarField, VectorField3, derive, divergence,
                       first_order_diagnostics, flow_energy, integrate, make_grid,
                       sample_diagnostics, seminorm_jm, sup_derivative, sup_norm)
 from slowflow import fields
+from slowflow import fieldgen
 from slowflow.fieldgen import gaussian_bump, solenoidal_gaussian
 
 PI32 = np.pi ** 1.5  # oracle: (int e^{-r^2} dr)^3 = pi^{3/2}
@@ -426,3 +427,58 @@ class TestDerivativePass:
             calls.clear()
             fn(u, 1)
             assert calls == [1] * 9
+
+
+def _curl_gaussian_by_meshgrid(grid, width, center, axis_vec, amplitude):
+    # frozen copy of the full-meshgrid sampler the broadcast one replaced
+    X1, X2, X3 = grid.meshgrid()
+    cx, cy, cz = center
+    dx, dy, dz = X1 - cx, X2 - cy, X3 - cz
+    g = amplitude * np.exp(-(dx ** 2 + dy ** 2 + dz ** 2) / (2.0 * width ** 2))
+    gx, gy, gz = -dx / width ** 2 * g, -dy / width ** 2 * g, -dz / width ** 2 * g
+    e1, e2, e3 = axis_vec
+    return (gy * e3 - gz * e2, gz * e1 - gx * e3, gx * e2 - gy * e1)
+
+
+def _laplacian_curl_by_meshgrid(grid, width, center, axis_vec, amplitude):
+    # frozen copy of the full-meshgrid sampler the broadcast one replaced
+    X1, X2, X3 = grid.meshgrid()
+    cx, cy, cz = center
+    dx, dy, dz = X1 - cx, X2 - cy, X3 - cz
+    r2 = dx ** 2 + dy ** 2 + dz ** 2
+    w2 = width ** 2
+    g = amplitude * np.exp(-r2 / (2.0 * w2))
+    lap_g_over_g = r2 / w2 ** 2 - 3.0 / w2
+    gx = (2.0 * dx / w2 ** 2 - lap_g_over_g * dx / w2) * g
+    gy = (2.0 * dy / w2 ** 2 - lap_g_over_g * dy / w2) * g
+    gz = (2.0 * dz / w2 ** 2 - lap_g_over_g * dz / w2) * g
+    e1, e2, e3 = axis_vec
+    return (gy * e3 - gz * e2, gz * e1 - gx * e3, gx * e2 - gy * e1)
+
+
+def _gradient_pulse_by_meshgrid(grid, width, amplitude):
+    # frozen copy of the full-meshgrid X(0) of gradient_pulse_forcing
+    X1, X2, X3 = grid.meshgrid()
+    phi = amplitude * np.exp(-(X1 ** 2 + X2 ** 2 + X3 ** 2) / (2.0 * width ** 2))
+    return (-X1 / width ** 2 * phi, -X2 / width ** 2 * phi, -X3 / width ** 2 * phi)
+
+
+@pytest.mark.parametrize("n", [24, 40, 64])
+def test_broadcast_samplers_equal_the_meshgrid_formulas(n):
+    # each cell takes the same operations in the same order from 1D
+    # coordinates as from full coordinate arrays: equal bit for bit
+    g = make_grid(n, 4.0)
+    args = (g, 0.9, (0.3, -0.2, 0.1), (0.2, 0.5, -0.84), 1.3)
+    for sampler, frozen in ((fieldgen._curl_gaussian_arrays, _curl_gaussian_by_meshgrid),
+                            (fieldgen._gaussian_laplacian_curl, _laplacian_curl_by_meshgrid)):
+        for a, b in zip(sampler(*args), frozen(*args)):
+            assert a.shape == (n,) * 3 and a.flags.c_contiguous
+            np.testing.assert_array_equal(a, b)
+    X = fieldgen.gradient_pulse_forcing(g, width=0.8, amplitude=1.2, t_scale=0.5).at(0.0)
+    for c, b in zip(X.components, _gradient_pulse_by_meshgrid(g, 0.8, 1.2)):
+        np.testing.assert_array_equal(c.samples, b)
+
+
+def test_sparse_meshgrid_broadcasts_to_the_full_one(grid32):
+    for s, f in zip(grid32.meshgrid(sparse=True), grid32.meshgrid()):
+        np.testing.assert_array_equal(np.broadcast_to(s, f.shape), f)

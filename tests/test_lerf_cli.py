@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slowflow import ScalarField, VectorField3, energy, fieldgen, fields, make_grid
+from slowflow import ScalarField, VectorField3, energy, fieldgen, fields, make_grid, mollifier
 from slowflow.analysis import representation_reconstruct
 from slowflow.cli import ConfigError, ExperimentConfig, main, run_experiment
+from slowflow.convolve import SpectralAccumulator
 from slowflow.report import make_report
 from slowflow.stokes import FluidParams, solve_linearized
 
@@ -177,6 +178,28 @@ class TestRunExperiment:
         code, reports = run_experiment(cfg, str(tmp_path / "out"))
         assert code == 0
         assert (tmp_path / "out" / "mollify.csv").exists()
+
+    def test_mollify_study_samples_and_transforms_each_kernel_once(self, tmp_path, monkeypatch):
+        # V does not depend on eps: one kernel sample gives the raw mass, and
+        # its one transform mollifies both U and V
+        sampled, transforms = [], []
+        sample, kernel_fft = mollifier._sampled, SpectralAccumulator.kernel_fft
+
+        def counting_sample(k, grid, axes):
+            sampled.append((k.epsilon, axes))
+            return sample(k, grid, axes)
+
+        def counting_fft(self, kernel):
+            transforms.append(kernel.shape)
+            return kernel_fft(self, kernel)
+
+        monkeypatch.setattr(mollifier, "_sampled", counting_sample)
+        monkeypatch.setattr(SpectralAccumulator, "kernel_fft", counting_fft)
+        raw = {"grid": {"n": 32, "L": 4.0}, "epsilons": [0.5, 1.0, 0.75], "field_width": 0.8}
+        code, _ = run_experiment(ExperimentConfig(raw, "mollify-study"), str(tmp_path / "out"))
+        assert code == 0
+        assert sampled == [(1.0, ()), (0.75, ()), (0.5, ())]
+        assert len(transforms) == 3
 
     def test_convergence_study(self, tmp_path):
         raw = {"grid": {"n": 16, "L": 8.0}, "study": "representation", "grids": [16, 24]}

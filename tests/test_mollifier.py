@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from slowflow import ScalarField, derive, integrate, make_grid, mollifier, sup_norm
 from slowflow.analysis import strong_mean_distance
@@ -38,17 +44,40 @@ class TestKernel:
 
     def test_normalization_is_computed_once(self, monkeypatch):
         make_kernel(0.5)
-        calls, quad = [], mollifier.integrate.quad
+        calls, rule = [], mollifier._gauss_panels
 
-        class CountingIntegrate:
-            def quad(self, *args, **kwargs):
-                calls.append(args)
-                return quad(*args, **kwargs)
+        def counting_rule(*args):
+            calls.append(args)
+            return rule(*args)
 
-        monkeypatch.setattr(mollifier, "integrate", CountingIntegrate())
+        monkeypatch.setattr(mollifier, "_gauss_panels", counting_rule)
         k = make_kernel(0.7)
         assert calls == []
         assert k.normalization == make_kernel(0.5).normalization
+
+    def test_normalization_agrees_with_adaptive_quadrature(self):
+        val, _ = quad(lambda s: np.exp(1.0 / (s * s - 1.0)) * s * s, 0.0, 1.0,
+                      epsabs=1e-14, epsrel=1e-14)
+        assert mollifier._normalization() == pytest.approx(1.0 / (4.0 * np.pi * val),
+                                                           rel=1e-14)
+
+    def test_normalization_rule_is_exact_on_polynomials_and_converges_on_the_bump(self):
+        # 32-point panels integrate degree <= 63 exactly; the bump's integral
+        # is the frozen oracle I above
+        s, w = mollifier._gauss_panels(0.0, 1.0, 8, 32)
+        assert np.sum(w * 64.0 * s ** 63) == pytest.approx(1.0, rel=1e-14)
+        I = np.sum(w * np.exp(1.0 / (s * s - 1.0)) * s * s)
+        assert I == pytest.approx(0.0351007383764877, rel=1e-14)
+
+    def test_import_loads_no_scipy_integrate(self):
+        code = ("import sys, slowflow, slowflow.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+        src = str(Path(mollifier.__file__).parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_profile_orders(self):
         k = make_kernel(1.0)

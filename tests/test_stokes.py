@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import erf
 
 from slowflow import (ScalarField, VectorField3, divergence, fields,
@@ -10,13 +11,23 @@ from slowflow.fieldgen import (gradient_pulse_forcing, ramped_forcing,
                                solenoidal_gaussian,
                                solenoidal_gaussian_laplacian,
                                solenoidal_pulse_forcing)
-from slowflow.stokes import (FLOOR_FACTOR, FlowState, FluidParams, ForcingField,
-                             _duhamel_rule, _heat_apply, _heat_factor, _phi_from_quadrature,
+from slowflow.stokes import (FLOOR_FACTOR, SQRT_PI, FlowState, FluidParams, ForcingField,
+                             _duhamel_rule, _heat_apply, _heat_factor,
                              forced_response, heat_propagate,
                              oseen_decay_constant, oseen_tensor_eval,
                              pressure_field, residual_check, solve_linearized)
 
 PAR = FluidParams(1.0, 1.0)
+
+
+def _phi_from_quadrature(r, nu_tau):
+    """Oracle route for Phi: radial integral of the one-dimensional heat profile
+    E(alpha) = exp(-alpha^2/(4 nu tau)) / (4 pi^{3/2} sqrt(nu tau)), by adaptive
+    quadrature.  Equals erf(r/(2 sqrt(nu tau)))/(4 pi r)."""
+    c = 1.0 / (4.0 * SQRT_PI ** 3 * np.sqrt(nu_tau))
+    val, _ = quad(lambda a: np.exp(-a * a / (4.0 * nu_tau)), 0.0, r,
+                  epsabs=1e-14, epsrel=1e-13)
+    return c * val / r
 
 
 def heat_kernel_on_grid(grid, nu_t):
