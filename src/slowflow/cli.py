@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -192,6 +193,7 @@ def _probe(grid):
 
 def _run_verify_checks(cfg, forcing, states, series):
     reports = []
+    probe = _probe(cfg.grid) if {"hardy", "representation"} & set(cfg.checks) else None
     for check in cfg.checks:
         if check == "energy_balance":
             reports.append(energy.energy_balance_residual(series, states, forcing, cfg.params))
@@ -203,9 +205,9 @@ def _run_verify_checks(cfg, forcing, states, series):
             u = states[-1].u
             reports.append(analysis.schwarz_check(u.u1, u.u2))
         elif check == "hardy":
-            reports.append(analysis.hardy_check(_probe(cfg.grid)))
+            reports.append(analysis.hardy_check(probe))
         elif check == "representation":
-            reports.append(analysis.representation_reconstruct(_probe(cfg.grid))[1])
+            reports.append(analysis.representation_reconstruct(probe)[1])
         elif check == "quasi_derivative":
             reports.append(_quasi_derivative_report(cfg.grid))
         elif check == "negative_control":
@@ -327,11 +329,10 @@ def run_experiment(cfg, out_dir):
     return (0 if ok else 1), reports
 
 
-def main(argv=None):
+@lru_cache(maxsize=None)
+def _parser():
     parser = argparse.ArgumentParser(
-        prog="slowflow",
-        description="linearized-flow experiment runner and verifier",
-    )
+        prog="slowflow", description="linearized-flow experiment runner and verifier")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("solve", "verify", "mollify-study", "convergence-study"):
         sp = sub.add_parser(name)
@@ -341,7 +342,11 @@ def main(argv=None):
                         help="check name (repeatable; verify only)")
         sp.add_argument("--grid-n", type=int, default=None, help="override grid.n")
         sp.add_argument("--grid-L", type=float, default=None, help="override grid.L")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.config) as f:

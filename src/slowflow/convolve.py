@@ -6,6 +6,7 @@ array, center = offset 0) or, if even or odd along each axis, as the
 treats U as zero outside the box.  One FFT engine, ``SpectralAccumulator``,
 serves every FFT convolution; ``convolver`` transforms a kernel once for many
 fields, and a direct-sum path exists for oracle comparisons on small grids.
+The import loads numpy only; ``sfft``, the scipy.fft module, executes at the first transform.
 
 Free-space padding (Hockney & Eastwood): a kernel centred in a cyclic box
 (offset m at index m mod P) gives the linear result on the window [0, n) once
@@ -20,13 +21,21 @@ exact cell averages near the singular point (scale-invariant constants,
 computed once by quadrature) and by midpoint values elsewhere.
 """
 
+import importlib.util
 import os
+import sys
 from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
-import scipy.fft as sfft
+
+if "scipy.fft" not in sys.modules:
+    _spec = importlib.util.find_spec("scipy.fft")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules["scipy.fft"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules["scipy.fft"])
+sfft = sys.modules["scipy.fft"]
 
 # Integral of 1/|z|^2 over the unit corner cube [0,1]^3 (octant recursion +
 # Gauss-Legendre; agrees with the Bailey-Borwein box integral B3(-2)).

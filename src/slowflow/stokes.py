@@ -20,12 +20,12 @@ transforms the grid-only Newton kernel once, for every output time's
 projection and pressure.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
 
 from . import fields
 from .convolve import _gauss_panels, convolver, newton_kernel
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 SQRT_PI = np.sqrt(np.pi)
+_erf = np.vectorize(math.erf, otypes=[np.float64])  # elementwise, from the standard library
 # Duhamel quadrature: Gauss-Legendre panels per decade of tau and points per
 # panel, and the resolution floor below which T acts as the identity (kernel
 # radius < h/4).
@@ -163,7 +164,7 @@ def _oseen_radial(x):
     x2 = xs * xs
     out[small] = (2.0 / SQRT_PI) * (2.0 / 3.0 - 0.4 * x2 + x2 ** 2 / 7.0 - x2 ** 3 / 27.0)
     xl = x[~small]
-    out[~small] = erf(xl) / xl ** 3 - (2.0 / SQRT_PI) * np.exp(-xl * xl) / xl ** 2
+    out[~small] = _erf(xl) / xl ** 3 - (2.0 / SQRT_PI) * np.exp(-xl * xl) / xl ** 2
     return out
 
 

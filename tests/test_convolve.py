@@ -1,10 +1,16 @@
+import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from slowflow import ScalarField, derive, make_grid
+from slowflow import ScalarField, convolve, derive, make_grid
 from slowflow.analysis import convolution_bound_check, representation_reconstruct
 from slowflow.convolve import (Octant, SpectralAccumulator, convolve_direct,
                                convolve_offsets, convolver, dipole_kernels,
@@ -242,3 +248,62 @@ def test_octant_and_its_full_lattice_give_identical_direct_sums_and_bounds(rng, 
         np.testing.assert_array_equal(convolve_direct(U.samples, K, g.h),
                                       convolve_direct(U.samples, F, g.h))
         assert vars(convolution_bound_check(K, U)) == vars(convolution_bound_check(F, U))
+
+
+# The start-up contract needs fresh interpreters: this module imports scipy.fft itself.
+START_UP = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
+
+    import numpy as np
+
+    import slowflow, slowflow.cli
+    from slowflow import convolve
+
+    def scipy_loaded():
+        return sorted(m for m in sys.modules if m.startswith(("scipy.fft._", "scipy.special")))
+
+    tmp, lazy = Path(sys.argv[1]), convolve.sfft
+    seen = {"import": scipy_loaded()}
+    cfg = {"grid": {"n": 24, "L": 6.0}, "times": {"start": 0.0, "end": 0.5, "count": 3},
+           "initial": {"generator": "solenoidal_gaussian", "params": {"width": 1.0}}}
+    (tmp / "unforced.json").write_text(json.dumps(cfg))
+    code = slowflow.cli.main(["verify", "--config", str(tmp / "unforced.json"),
+                              "--out", str(tmp / "verify")])
+    seen["verify"] = [code, scipy_loaded()]
+    cfg["forcing"] = {"generator": "solenoidal_pulse"}
+    (tmp / "forced.json").write_text(json.dumps(cfg))
+    code = slowflow.cli.main(["solve", "--config", str(tmp / "forced.json"),
+                              "--out", str(tmp / "solve")])
+    seen["solve"] = [code, "scipy.fft._basic" in sys.modules]
+    seen["same_module"] = convolve.sfft is lazy is sys.modules["scipy.fft"]
+    rng = np.random.default_rng(3)
+    u, K = rng.standard_normal((8, 8, 8)), rng.standard_normal((5, 5, 5))
+    seen["oracle"] = bool(np.allclose(convolve.convolve_offsets(u, K, 0.3),
+                                      convolve.convolve_direct(u, K, 0.3), rtol=1e-12, atol=1e-12))
+    print(json.dumps(seen))
+""")
+
+
+def _fresh_python(code, *args):
+    src = str(Path(convolve.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code, *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_scipy_fft_loads_at_the_first_transform(tmp_path):
+    seen = _fresh_python(START_UP, str(tmp_path))
+    assert seen["import"] == []
+    assert seen["verify"] == [0, []]  # an unforced default verify makes no transform
+    assert seen["solve"] == [0, True]
+    assert seen["same_module"]
+    assert seen["oracle"]
+
+
+def test_a_scipy_fft_imported_first_is_the_one_used():
+    assert _fresh_python("import json, scipy.fft, slowflow.convolve; "
+                         "print(json.dumps(slowflow.convolve.sfft is scipy.fft))")

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slowflow import ScalarField, VectorField3, energy, fieldgen, fields, make_grid, mollifier
+from slowflow import (ScalarField, VectorField3, cli, energy, fieldgen, fields, make_grid,
+                      mollifier)
 from slowflow.analysis import representation_reconstruct
 from slowflow.cli import ConfigError, ExperimentConfig, main, run_experiment
 from slowflow.convolve import SpectralAccumulator
@@ -259,6 +260,36 @@ class TestCliMain:
         assert code == 0
         payload = json.loads((out / "report.json").read_text())
         assert [r["name"] for r in payload] == ["schwarz"]
+
+    def test_check_flags_do_not_carry_over_between_calls(self, tmp_path, monkeypatch):
+        seen = []
+
+        class Recorded(ExperimentConfig):
+            def __init__(self, raw, command):
+                super().__init__(raw, command)
+                seen.append((command, self.checks))
+        monkeypatch.setattr(cli, "ExperimentConfig", Recorded)
+        path = _write_config(tmp_path)
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "v"),
+                     "--check", "schwarz", "--check", "energy_inequality"]) == 0
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "w"),
+                     "--check", "hardy"]) == 0
+        default = cli.SCHEMA["checks"][1]
+        assert seen == [("verify", ["schwarz", "energy_inequality"]), ("solve", default),
+                        ("verify", ["hardy"])]
+        assert cli._parser() is cli._parser()
+
+    def test_hardy_and_representation_share_one_probe(self, tmp_path, monkeypatch):
+        calls = []
+        probe = cli._probe
+        monkeypatch.setattr(cli, "_probe", lambda grid: calls.append(grid.n) or probe(grid))
+        path = _write_config(tmp_path, {"checks": ["hardy", "representation"]})
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert calls == [16]
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "p"),
+                     "--check", "schwarz"]) == 0
+        assert calls == [16]
 
     def test_deterministic_outputs(self, tmp_path):
         path = _write_config(tmp_path, {"checks": ["energy_inequality", "schwarz", "monotone_bounds"]})

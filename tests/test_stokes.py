@@ -12,7 +12,7 @@ from slowflow.fieldgen import (gradient_pulse_forcing, ramped_forcing,
                                solenoidal_gaussian_laplacian,
                                solenoidal_pulse_forcing)
 from slowflow.stokes import (FLOOR_FACTOR, SQRT_PI, FlowState, FluidParams, ForcingField,
-                             _duhamel_rule, _heat_apply, _heat_factor,
+                             _duhamel_rule, _erf, _heat_apply, _heat_factor,
                              forced_response, heat_propagate,
                              oseen_decay_constant, oseen_tensor_eval,
                              pressure_field, residual_check, solve_linearized)
@@ -187,6 +187,14 @@ class TestOseenTensor:
         disps = [[r, 0.3, -0.2] for r in (0.2, 0.5, 1.0, 3.0)]
         A = oseen_decay_constant(disps, [0.05, 0.3, 1.0], PAR)
         assert np.isfinite(A) and A > 0
+
+    def test_erf_is_within_two_ulp_of_scipy_special(self):
+        x = np.linspace(0.1, 30.0, 100_001)
+        np.testing.assert_array_max_ulp(_erf(x), erf(x), maxulp=2)
+        for v in (0.1, 0.73, 2.5, 5.9, 30.0):
+            got = _erf(np.float64(v))
+            assert np.shape(got) == ()
+            np.testing.assert_array_max_ulp(got, erf(v), maxulp=2)
 
     def test_potential_matches_adaptive_quadrature(self):
         for r, tau in ((0.5, 0.2), (2.0, 1.0), (0.05, 0.3)):
