@@ -6,8 +6,8 @@ for every subcommand (unknown keys and generator params are errors), runs a
 fixed pipeline, and writes LERF fields, a diagnostics CSV, and a report JSON
 into the output directory.  Exit status: 0 all checks pass, 1 a check failed
 (reports are still written), 2 a config error ("config error: ...") or a
-solver ValueError such as an under-resolved time ("error: ..."), neither with
-a traceback.
+solver ValueError such as an under-resolved time ("error: ..."), with neither
+a traceback nor an output directory: each command makes it at its first write.
 """
 
 import argparse
@@ -32,6 +32,7 @@ VERIFY_CHECKS = (
     "energy_balance", "energy_inequality", "monotone_bounds", "schwarz",
     "hardy", "representation", "quasi_derivative", "negative_control",
 )
+MIN_TIMES = {"negative_control": 2, "energy_balance": 3}  # samples a check or study needs
 
 # The config schema, one key set for every subcommand: {section: {key: (type,
 # default)}}, top-level keys as (type, default).  A float is any JSON number
@@ -139,6 +140,9 @@ class ExperimentConfig:
         self.checks = c["checks"]
         for name in self.checks:
             _require(name in VERIFY_CHECKS, f"checks: unknown check '{name}'")
+        for name in {"verify": self.checks, "convergence-study": [self.study]}.get(command, []):
+            k = MIN_TIMES.get(name, 1)
+            _require(self.t_count >= k, f"times.count: {name} needs at least {k} samples")
         self.output = c["output"]
 
     def times(self):
@@ -227,10 +231,8 @@ def _quasi_derivative_report(grid):
                        {"h": grid.h, "scale": float(scale)})
 
 
-def _negative_control_report(cfg, states, forcing=None):
+def _negative_control_report(cfg, states, forcing):
     """Deliberately corrupted final state: the residual check must fail."""
-    if len(states) < 2:
-        raise ConfigError("negative_control needs at least 2 time samples")
     bad = states[-1]
     t_mid = 0.5 * (states[-1].t + states[-2].t)
     X_mid = forcing.at(t_mid) if forcing is not None else None
@@ -257,7 +259,7 @@ def _mollify_study(cfg, out_dir):
     V = fieldgen.gaussian_bump(grid, width=1.3 * cfg.field_width, center=(0.4, 0.1, -0.2))
     for eps in eps_sorted:
         # one kernel sample per eps gives the raw mass and, renormalized, one transform
-        W, _ = mollifier.kernel_on_grid(mollifier.make_kernel(eps), grid, normalized=False)
+        W = mollifier.kernel_on_grid(mollifier.make_kernel(eps), grid, normalized=False)
         mass = float(W.sum() * grid.cell_volume)
         smooth = convolve.convolver(W / mass, grid.n, grid.h)
         mass_err = abs(mass - 1.0)
@@ -277,6 +279,7 @@ def _mollify_study(cfg, out_dir):
     ratios = [b / a for a, b in zip(distances, distances[1:])]
     reports.append(make_report("mollifier-strong-convergence", max(ratios), 1.0, 0.0,
                                {"epsilons": eps_sorted, "distances": distances}))
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "mollify.csv"), "w", newline="\n") as f:
         f.write("\n".join(rows) + "\n")
     return reports
@@ -309,11 +312,7 @@ def _convergence_study(cfg, out_dir):
 
 
 def run_experiment(cfg, out_dir):
-    """Run the configured pipeline; returns (exit_code, reports).  A solve
-    makes ``out_dir`` only once its fields are built and solved, so a rejected
-    generator parameter or time leaves no directory behind."""
-    if cfg.command not in ("solve", "verify"):
-        os.makedirs(out_dir, exist_ok=True)
+    """Run the configured pipeline; returns (exit_code, reports)."""
     reports = []
     if cfg.command == "solve":
         _solve_pipeline(cfg, out_dir, write_fields=True)
@@ -324,6 +323,7 @@ def run_experiment(cfg, out_dir):
     elif cfg.command == "convergence-study":
         reports = _convergence_study(cfg, out_dir)
     if reports:
+        os.makedirs(out_dir, exist_ok=True)
         write_reports_json(reports, os.path.join(out_dir, "report.json"))
     ok = all(r.passed for r in reports if r.metadata.get("judged", True))
     return (0 if ok else 1), reports

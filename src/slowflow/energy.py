@@ -23,7 +23,9 @@ ENERGY_INEQ_RTOL = 1e-10  # energy inequality tolerance, relative to sqrt(W(0))
 @dataclass
 class DiagnosticsSeries:
     """States and forcing norms.  ``samples`` and the J2 column read each
-    state's ``diagnostics``, the other columns its ``first_order``."""
+    state's ``diagnostics``, the other columns its ``first_order``; the forcing
+    norms are its ``forcing_terms``, whose one sample per state every audit
+    shares."""
 
     states: list
     forcing_norms: list
@@ -55,15 +57,10 @@ def _check_states(states):
     return grid
 
 
-def _forcing_l2(X):
-    return float(np.sqrt(max(flow_energy(X), 0.0)))
-
-
 def diagnostics_series(states, forcing=None, params=None):
     """Per-state W, J1, J2, V, D1 (taken when read) plus the forcing L2 norm at each time."""
     grid = _check_states(states)
-    fnorms = ([0.0] * len(states) if forcing is None
-              else [_forcing_l2(forcing.at(s.t)) for s in states])
+    fnorms = [s.forcing_terms(forcing).norm for s in states]
     md = {"grid_n": grid.n, "grid_L": grid.L}
     if params is not None:
         md["nu"] = params.nu
@@ -84,12 +81,7 @@ def energy_balance_residual(series, states, forcing, params, rel_tol=0.02):
     t = series.times
     J1sq = series.column("J1") ** 2
     W = series.column("W")
-    work_rate = np.zeros_like(t)
-    if forcing is not None:
-        for k, s in enumerate(states):
-            X = forcing.at(s.t)
-            work_rate[k] = sum(float(np.sum(a.samples * b.samples))
-                               for a, b in zip(s.u.components, X.components)) * s.grid.cell_volume
+    work_rate = np.array([s.forcing_terms(forcing).work for s in states])
     dissip = np.array([params.nu * np.trapezoid(J1sq[: k + 1], t[: k + 1]) for k in range(len(t))])
     work = np.array([np.trapezoid(work_rate[: k + 1], t[: k + 1]) for k in range(len(t))])
     scale = float(max(W.max(), dissip.max(), np.abs(work).max()))
@@ -168,17 +160,13 @@ def bound_suite(u0, states, forcing, params, scaling=False):
 
     Every column is read from ``FlowState.first_order``, and from
     ``FlowState.diagnostics`` when the fit reads J2: a state diagnosed that
-    deep already takes no derivative pass here.  The forcing, when given, is
-    sampled once per state for both ||X|| and sup|X|.  ``u0`` is not used.
+    deep already takes no derivative pass here.  ||X|| and sup|X| are read
+    from ``FlowState.forcing_terms``: a state whose forcing another audit has
+    read is not sampled again.  ``u0`` is not used.
     """
     _check_states(states)
     t = np.array([float(s.t) for s in states])
-    fnorms, sup_f = [], []
-    if forcing is not None:
-        for s in states:
-            X = forcing.at(s.t)
-            fnorms.append(_forcing_l2(X))
-            sup_f.append(sup_norm(X))
+    fnorms, sup_f, _ = zip(*(s.forcing_terms(forcing) for s in states))
     forced = any(f > 0 for f in fnorms)
     fit = scaling and not forced
     pos = t > 0

@@ -205,10 +205,10 @@ def _difference(a, axis, order, out):
     return out
 
 
-def _derive_array(a, axis, order, h, out=None):
+def _derive_array(a, axis, order, h):
     """Centered stencil of the given order along axis: the undivided difference
-    divided once by 2h or h^2, into out (default: a new array laid out as a)."""
-    out = _difference(a, axis, order, np.empty_like(a) if out is None else out)
+    divided once by 2h or h^2, into a new array laid out as a."""
+    out = _difference(a, axis, order, np.empty_like(a))
     out /= 2 * h if order == 1 else h ** 2
     return out
 

@@ -67,12 +67,10 @@ def make_kernel(epsilon):
 
 def _sampled(k, grid, axes):
     """d^alpha [lam(|z|^2/eps^2)/eps^3] at the lattice offsets of the kernel's
-    support box, alpha the (at most two, ascending) axes in ``axes``, and the
-    box radius R.  With g_a = 2 z_a/eps^2, d_a = lam' g_a and
-    d_a d_b = lam'' g_a g_b + [a = b] lam' 2/eps^2."""
+    support box, alpha the (at most two, ascending) axes in ``axes``.  With
+    g_a = 2 z_a/eps^2, d_a = lam' g_a and d_a d_b = lam'' g_a g_b + [a = b] lam' 2/eps^2."""
     eps = k.epsilon
-    R = min(grid.n - 1, int(np.ceil(eps / grid.h)) + 1)
-    off = grid.offsets(R)
+    off = grid.offsets(min(grid.n - 1, int(np.ceil(eps / grid.h)) + 1))
     z = np.meshgrid(off, off, off, indexing="ij")
     s = (z[0] ** 2 + z[1] ** 2 + z[2] ** 2) / eps ** 2
     W = k.profile(s, len(axes))
@@ -80,22 +78,19 @@ def _sampled(k, grid, axes):
         W = W * (2.0 * z[a] / eps ** 2)
     if len(axes) == 2 and axes[0] == axes[1]:
         W = W + k.profile(s, 1) * (2.0 / eps ** 2)
-    return W / eps ** 3, R
+    return W / eps ** 3
 
 
 def kernel_on_grid(k, grid, normalized=True):
     """Kernel sampled at lattice offsets; optionally renormalized to unit
     discrete mass so convolution weights form an exact convex combination."""
-    W, R = _sampled(k, grid, ())
-    if normalized:
-        W = W / (W.sum() * grid.cell_volume)
-    return W, R
+    W = _sampled(k, grid, ())
+    return W / (W.sum() * grid.cell_volume) if normalized else W
 
 
 def kernel_grid_mass(k, grid):
     """Raw midpoint mass h^3 * sum of the sampled kernel (no renormalization)."""
-    W, _ = kernel_on_grid(k, grid, normalized=False)
-    return float(W.sum() * grid.cell_volume)
+    return float(kernel_on_grid(k, grid, normalized=False).sum() * grid.cell_volume)
 
 
 def _check_resolved(U, k):
@@ -106,15 +101,13 @@ def _check_resolved(U, k):
 def mollify(U, k):
     """Convolution of U with the kernel (U taken as 0 outside the box)."""
     _check_resolved(U, k)
-    W, _ = kernel_on_grid(k, U.grid)
-    return ScalarField(U.grid, convolve_offsets(U.samples, W, U.grid.h))
+    return ScalarField(U.grid, convolve_offsets(U.samples, kernel_on_grid(k, U.grid), U.grid.h))
 
 
 def mollify_direct(U, k):
     """Direct-sum reference path (oracle for the FFT route; small grids)."""
     _check_resolved(U, k)
-    W, _ = kernel_on_grid(k, U.grid)
-    return ScalarField(U.grid, convolve_direct(U.samples, W, U.grid.h))
+    return ScalarField(U.grid, convolve_direct(U.samples, kernel_on_grid(k, U.grid), U.grid.h))
 
 
 def mollify_derivative(U, k, multi_index):
@@ -127,5 +120,5 @@ def mollify_derivative(U, k, multi_index):
     mi = tuple(int(v) for v in multi_index)
     if len(mi) != 3 or any(v < 0 for v in mi) or not (1 <= sum(mi) <= 2):
         raise ValueError("multi_index must have 1 <= l+m+n <= 2")
-    W, _ = _sampled(k, U.grid, tuple(a for a, v in enumerate(mi) for _ in range(v)))
+    W = _sampled(k, U.grid, tuple(a for a, v in enumerate(mi) for _ in range(v)))
     return ScalarField(U.grid, convolve_offsets(U.samples, W, U.grid.h))

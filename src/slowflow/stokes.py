@@ -21,6 +21,7 @@ projection and pressure.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -49,6 +50,8 @@ GAUSS_POINTS = 4
 FLOOR_FACTOR = 32.0
 # solve_linearized accepts u0 when ||div u0|| <= DIV_RTOL * J1(u0)
 DIV_RTOL = 0.2
+
+ForcingTerms = namedtuple("ForcingTerms", "norm sup work")  # ||X||, sup|X|, (u, X)
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,20 @@ class FlowState:
     def first_order(self):
         """W, J1, V and D1 of u: the diagnostics if taken, else a 9-stencil pass."""
         return self.__dict__.get("diagnostics") or fields.first_order_diagnostics(self.u, self.t)
+
+    def forcing_terms(self, forcing):
+        """||X||, sup|X| and the work rate (u, X) of X = forcing.at(t) (zeros for no
+        forcing) from one sample, kept as 3 floats until another forcing asks."""
+        if forcing is None:
+            return ForcingTerms(0.0, 0.0, 0.0)
+        kept = self.__dict__.get("_forcing_terms")
+        if kept is None or kept[0] is not forcing:
+            X = forcing.at(self.t)
+            work = sum(float(np.sum(a.samples * b.samples))
+                       for a, b in zip(self.u.components, X.components)) * self.grid.cell_volume
+            terms = ForcingTerms(math.sqrt(fields.flow_energy(X)), fields.sup_norm(X), work)
+            kept = self.__dict__["_forcing_terms"] = (forcing, terms)
+        return kept[1]
 
 
 class ForcingField:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slowflow import make_grid
+from slowflow import fields, make_grid
 from slowflow.fieldgen import gaussian_bump
 
 
@@ -23,6 +23,23 @@ def gauss32(grid32):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def count_stencils(monkeypatch):
+    """A call that starts counting: it returns the list that then receives the
+    order of every stencil (a ``fields._difference`` call)."""
+    def start():
+        calls = []
+        difference = fields._difference
+
+        def counting(a, axis, order, out):
+            calls.append(order)
+            return difference(a, axis, order, out)
+
+        monkeypatch.setattr(fields, "_difference", counting)
+        return calls
+    return start
 
 
 def _full_lattice(octant):

@@ -71,14 +71,14 @@ class TestTimeMinkowski:
 
 class TestConvolutionBound:
     def test_mollifier_kernel_contracts(self, grid32, gauss32):
-        W, _ = kernel_on_grid(make_kernel(1.0), grid32)
+        W = kernel_on_grid(make_kernel(1.0), grid32)
         r = convolution_bound_check(W, gauss32)
         assert r.passed
         # unit kernel mass: the convolution cannot gain energy
         assert r.lhs <= integrate(gauss32, gauss32) * (1 + 1e-12)
 
     def test_zero_field(self, grid32):
-        W, _ = kernel_on_grid(make_kernel(1.0), grid32)
+        W = kernel_on_grid(make_kernel(1.0), grid32)
         r = convolution_bound_check(W, ScalarField.zeros(grid32))
         assert r.passed
         assert r.lhs == 0.0
@@ -86,7 +86,7 @@ class TestConvolutionBound:
     def test_point_mass_limit_saturates(self):
         g = make_grid(48, 4.0)
         U = gaussian_bump(g, width=1.0)
-        W, _ = kernel_on_grid(make_kernel(2.5 * g.h), g)
+        W = kernel_on_grid(make_kernel(2.5 * g.h), g)
         r = convolution_bound_check(W, U)
         assert r.passed
         assert r.lhs >= 0.9 * r.rhs  # margin shrinks as the kernel sharpens

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from slowflow import ScalarField, VectorField3, fields, make_grid, stokes, sup_norm
+from slowflow import (ScalarField, VectorField3, fields, flow_energy, make_grid, stokes,
+                      sup_norm)
 from slowflow.energy import (_monotone_report, _scaling_report, abel_integral,
                              bound_suite, continuity_probe, diagnostics_series,
                              energy_balance_residual, energy_inequality_check,
@@ -29,19 +30,6 @@ def _heat_states(grid, width=1.0, times=(0.0, 0.2, 0.5, 1.0), seed=None):
 def _undiagnosed(states):
     """Copies of the states whose diagnosis has not been taken yet."""
     return [FlowState(s.t, s.u, s.p) for s in states]
-
-
-def _count_stencils(monkeypatch):
-    """The order of every stencil (a ``fields._difference`` call) from now on."""
-    calls = []
-    difference = fields._difference
-
-    def counting(a, axis, order, out):
-        calls.append(order)
-        return difference(a, axis, order, out)
-
-    monkeypatch.setattr(fields, "_difference", counting)
-    return calls
 
 
 class TestDiagnosticsSeries:
@@ -320,9 +308,9 @@ class TestBoundSuiteFirstOrder:
         assert [vars(r) for r in cold] == [vars(r) for r in want]
         assert [vars(r) for r in warm] == [vars(r) for r in want]
 
-    def test_series_then_bound_suite_takes_one_diagnosis_per_state(self, monkeypatch, grid16):
+    def test_series_then_bound_suite_takes_one_diagnosis_per_state(self, count_stencils, grid16):
         u0, states = _heat_states(grid16, times=(0.0, 0.1, 0.2))
-        calls = _count_stencils(monkeypatch)
+        calls = count_stencils()
         ser = diagnostics_series(states, None, PAR)
         assert calls == []  # nothing is diagnosed before a column is read
         energy_inequality_check(ser)
@@ -332,11 +320,11 @@ class TestBoundSuiteFirstOrder:
         bound_suite(u0, states, None, PAR, scaling=False)
         assert calls == []
 
-    def test_unforced_audit_takes_45_stencils_for_4_times(self, monkeypatch, grid16):
+    def test_unforced_audit_takes_45_stencils_for_4_times(self, count_stencils, grid16):
         # solve_linearized's solenoidal check takes the 9 first derivatives,
         # then each state one 9-stencil first-order diagnosis, shared by every check
         u0 = solenoidal_gaussian(grid16, width=1.0)
-        calls = _count_stencils(monkeypatch)
+        calls = count_stencils()
         states = solve_linearized(u0, None, PAR, [0.0, 0.1, 0.2, 0.3])
         ser = diagnostics_series(states, None, PAR)
         energy_balance_residual(ser, states, None, PAR)
@@ -346,9 +334,9 @@ class TestBoundSuiteFirstOrder:
         assert len(calls) == 45
 
     def test_reading_samples_first_takes_27_stencils_then_audits_take_none(
-            self, monkeypatch, grid16):
+            self, count_stencils, grid16):
         u0, states = _heat_states(grid16, times=(0.0, 0.1, 0.2, 0.3))
-        calls = _count_stencils(monkeypatch)
+        calls = count_stencils()
         ser = diagnostics_series(states, None, PAR)
         assert ser.samples == [s.diagnostics for s in states]
         # per component: 3 first, 3 pure second and 3 mixed derivatives
@@ -361,9 +349,9 @@ class TestBoundSuiteFirstOrder:
         assert all(s.first_order is s.diagnostics for s in states)
         assert calls == []
 
-    def test_scaling_fit_takes_one_full_pass_per_cold_state(self, monkeypatch, grid16):
+    def test_scaling_fit_takes_one_full_pass_per_cold_state(self, count_stencils, grid16):
         u0, states = _heat_states(grid16, seed=4, times=self.DECADE)
-        calls = _count_stencils(monkeypatch)
+        calls = count_stencils()
         bound_suite(u0, states, None, PAR, scaling=True)
         assert len(calls) == 27 * len(states)
         calls.clear()
@@ -378,6 +366,26 @@ class TestBoundSuiteFirstOrder:
         counted = ForcingField(F.grid, lambda t: (times.append(t), F.at(t))[1])
         bound_suite(None, states, counted, par)
         assert times == [s.t for s in states]
+
+    def test_audits_share_one_forcing_sample_per_state(self, ramp_run):
+        # the series, the energy balance and the bound suite read each state's
+        # forcing terms: K fresh states take K samples, another forcing K more
+        F, par, solved = ramp_run
+        states = _undiagnosed(solved)
+        sampled = []
+        for forcings in (1, 2):
+            counted = ForcingField(F.grid, lambda s: sampled.append(s) or F.at(s))
+            ser = diagnostics_series(states, counted, par)
+            energy_balance_residual(ser, states, counted, par)
+            bound_suite(None, states, counted, par)
+            assert sampled == [s.t for s in states] * forcings
+        for s in states:
+            X = F.at(s.t)
+            work = sum(float(np.sum(a.samples * b.samples))
+                       for a, b in zip(s.u.components, X.components)) * s.grid.cell_volume
+            want = (float(np.sqrt(max(flow_energy(X), 0.0))), sup_norm(X), work)
+            assert s.forcing_terms(counted) == want and want[0] > 0
+        assert len(sampled) == 2 * len(states)
 
     def test_state_list_checks(self, grid16):
         u0, states = _heat_states(grid16, times=(0.0, 0.1))

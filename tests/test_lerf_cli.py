@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slowflow import (ScalarField, VectorField3, cli, energy, fieldgen, fields, make_grid,
+from slowflow import (ScalarField, VectorField3, cli, energy, fieldgen, make_grid,
                       mollifier)
 from slowflow.analysis import representation_reconstruct
 from slowflow.cli import ConfigError, ExperimentConfig, main, run_experiment
@@ -354,11 +354,15 @@ def test_override_on_malformed_config_is_a_config_error(tmp_path, capsys, raw, f
     ("mollify-study", {"epsilons": [2.0]}, "epsilons"),
     ("mollify-study", {"field_width": 0}, "field_width"),
     ("mollify-study", {"epsilons": [2.0, 1.0]}, "epsilons"),
+    ("verify", {"checks": ["negative_control"], "times": {"count": 1}}, "negative_control"),
+    ("verify", {"checks": ["energy_balance"], "times": {"count": 2}}, "energy_balance"),
+    ("convergence-study", {"study": "energy_balance", "times": {"count": 2}}, "energy_balance"),
 ], ids=["fractional-count", "fractional-grids", "bool-epsilon", "string-L", "string-nu",
         "bool-nu", "null-rho", "null-start", "string-end", "null-field-width",
         "int-output", "null-output", "list-generator", "null-param", "string-width",
         "string-t-scale", "unknown-param", "fractional-seed", "string-seed",
-        "no-epsilons", "one-epsilon", "zero-field-width", "under-resolved-epsilon"])
+        "no-epsilons", "one-epsilon", "zero-field-width", "under-resolved-epsilon",
+        "one-time-negative-control", "two-time-energy-balance", "two-time-energy-study"])
 def test_config_numbers_are_not_truncated_or_coerced(tmp_path, capsys, command, extra, field):
     path = _write_config(tmp_path, extra)
     code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
@@ -386,12 +390,18 @@ def test_verify_audits_the_from_rest_case(tmp_path, capsys):
 
 
 def test_solver_error_is_not_labelled_a_config_error(tmp_path, capsys):
-    # a valid config whose first nonzero time is below the heat-kernel floor
-    path = _write_config(tmp_path, {"times": {"start": 0.0, "end": 1e-4, "count": 4}})
-    code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: under-resolved")
-    assert not (tmp_path / "o").exists()
+    # valid configs whose first nonzero time is below the heat-kernel floor
+    # (of the coarser grid, for the study)
+    for command, extra in (
+            ("solve", {"times": {"start": 0.0, "end": 1e-4, "count": 4}}),
+            ("convergence-study", {"grid": {"n": 16, "L": 4.0}, "study": "energy_balance",
+                                   "grids": [8, 16],
+                                   "times": {"start": 0.0, "end": 0.05, "count": 4}})):
+        path = _write_config(tmp_path, extra)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: under-resolved")
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("section,generator,params,message", [
@@ -534,17 +544,13 @@ def test_energy_study_solves_with_the_configured_forcing(tmp_path):
 
 @pytest.mark.parametrize("command,grids,first,second", [
     ("convergence-study", 2, 9, 0), ("verify", 1, 18, 9)])
-def test_each_state_takes_the_stencils_its_command_reads(monkeypatch, tmp_path, command,
+def test_each_state_takes_the_stencils_its_command_reads(count_stencils, tmp_path, command,
                                                          grids, first, second):
     # per grid: the 9 first derivatives of the solenoidal check, then per state
     # 9 first-order stencils for the energy_balance study, which reads first
     # order only, or all 27 (18 of them first-order, 9 pure second) for verify,
     # whose diagnostics.csv reads J2 before its audits reuse that pass
-    calls = []
-    difference = fields._difference
-    monkeypatch.setattr(fields, "_difference",
-                        lambda a, axis, order, out: (calls.append(order),
-                                                     difference(a, axis, order, out))[1])
+    calls = count_stencils()
     path = _write_config(tmp_path, dict(ENERGY_STUDY, initial={"generator": "solenoidal_gaussian"}))
     main([command, "--config", str(path), "--out", str(tmp_path / "o")])
     assert calls.count(1) == grids * (9 + first * 4)

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
-from slowflow import (ScalarField, VectorField3, divergence, fields,
+from slowflow import (ScalarField, VectorField3, divergence,
                       flow_energy, make_grid, seminorm_jm, stokes, sup_norm)
 from slowflow.convolve import (SpectralAccumulator, convolve_direct,
                                convolve_offsets, newton_kernel)
@@ -462,30 +462,17 @@ class TestFlowState:
             FlowState(0.0, VectorField3.zeros(grid16), ScalarField.zeros(make_grid(16, 8.0)))
 
 
-def _count_stencils(monkeypatch):
-    """The order of every stencil (a ``fields._difference`` call) from now on."""
-    calls = []
-    difference = fields._difference
-
-    def counting(a, axis, order, out):
-        calls.append(order)
-        return difference(a, axis, order, out)
-
-    monkeypatch.setattr(fields, "_difference", counting)
-    return calls
-
-
 class TestSolveLinearized:
-    def test_initial_data_check_builds_each_first_derivative_once(self, monkeypatch, grid32):
+    def test_initial_data_check_builds_each_first_derivative_once(self, count_stencils, grid32):
         u0 = solenoidal_gaussian(grid32, width=1.0)
-        calls = _count_stencils(monkeypatch)
+        calls = count_stencils()
         solve_linearized(u0, None, PAR, [0.0, 0.5])
         assert calls == [1] * 9  # J1 and the divergence share one pass
 
-    def test_zero_initial_data_skips_the_check(self, monkeypatch, grid16):
+    def test_zero_initial_data_skips_the_check(self, count_stencils, grid16):
         # a zero field passes the check trivially, so a solve from rest takes
         # no stencil for it, and its states are those of the direct operators
-        calls = _count_stencils(monkeypatch)
+        calls = count_stencils()
         states = solve_linearized(VectorField3.zeros(grid16), None, PAR, [0.0, 0.5])
         assert calls == []
         assert not any(c.samples.any() for s in states for c in (*s.u.components, s.p))
