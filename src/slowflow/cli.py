@@ -120,15 +120,17 @@ class ExperimentConfig:
         _require(self.t_count >= 1, "times.count must be >= 1")
 
         self.epsilons = c["epsilons"]
-        _require(len(self.epsilons) >= 2 and all(e > 0 for e in self.epsilons),
-                 f"epsilons must list >= 2 positive numbers, got {self.epsilons}")
+        _require(len(set(self.epsilons)) == len(self.epsilons) >= 2
+                 and all(e > 0 for e in self.epsilons),
+                 f"epsilons must list >= 2 distinct positive numbers, got {self.epsilons}")
         self.field_width = c["field_width"]
         _require(self.field_width > 0, "field_width must be > 0")
         eps = min(self.epsilons)
         _require(command != "mollify-study" or eps >= 2 * self.grid.h,
                  f"epsilons: {eps} under-resolved on n={self.grid.n} (needs >= 2h)")
 
-        _require(len(c["grids"]) >= 2, "grids must list >= 2 sizes")
+        _require(len(c["grids"]) >= 2 and all(a < b for a, b in zip(c["grids"], c["grids"][1:])),
+                 f"grids must list >= 2 strictly increasing sizes, got {c['grids']}")
         try:
             self.grids = [make_grid(n, self.grid.L) for n in c["grids"]]
         except ValueError as e:

@@ -3,7 +3,9 @@ time-modulated forcings, and the cusp target for the modulus probe.
 
 Every generator returns exactly sampled closed-form fields (derivatives are
 analytic, never finite-differenced), so generated data can serve as reference
-in solver tests.
+in solver tests.  One closed form, ``_gaussian``, serves every Gaussian (the
+bump, the curl-Gaussian vortex, its Laplacian, the gradient pulse), and one
+sampler, ``_separable``, every forcing X(t) = sum_j q_j(t) S_j.
 """
 
 import numpy as np
@@ -18,12 +20,20 @@ __all__ = [
 ]
 
 
+def _gaussian(grid, width, center, amplitude):
+    """Sparse offsets d = x - c and the Gaussian g = a exp(-|d|^2 / (2 w^2))."""
+    d = [X - c for X, c in zip(grid.meshgrid(sparse=True), center)]
+    return d, amplitude * np.exp(-(d[0] ** 2 + d[1] ** 2 + d[2] ** 2) / (2.0 * width * width))
+
+
+def _cross(grad, e):
+    """grad f x e for a constant direction e."""
+    (gx, gy, gz), (e1, e2, e3) = grad, e
+    return (gy * e3 - gz * e2, gz * e1 - gx * e3, gx * e2 - gy * e1)
+
+
 def gaussian_bump(grid, width=1.0, center=(0.0, 0.0, 0.0), amplitude=1.0):
-    cx, cy, cz = center
-    w2 = 2.0 * width * width
-    return ScalarField.from_function(
-        grid, lambda x, y, z: amplitude * np.exp(-((x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2) / w2)
-    )
+    return ScalarField(grid, _gaussian(grid, width, center, amplitude)[1])
 
 
 def gaussian_mixture(grid, rng, n_bumps=3, width_range=(0.6, 1.4), center_radius=None,
@@ -41,15 +51,9 @@ def gaussian_mixture(grid, rng, n_bumps=3, width_range=(0.6, 1.4), center_radius
 
 
 def _curl_gaussian_arrays(grid, width, center, axis_vec, amplitude):
-    """curl(g * e) for a Gaussian bump g and constant direction e (solenoidal)."""
-    X1, X2, X3 = grid.meshgrid(sparse=True)
-    cx, cy, cz = center
-    dx, dy, dz = X1 - cx, X2 - cy, X3 - cz
-    g = amplitude * np.exp(-(dx ** 2 + dy ** 2 + dz ** 2) / (2.0 * width ** 2))
-    gx, gy, gz = -dx / width ** 2 * g, -dy / width ** 2 * g, -dz / width ** 2 * g
-    e1, e2, e3 = axis_vec
-    # curl(g e) = grad g x e
-    return (gy * e3 - gz * e2, gz * e1 - gx * e3, gx * e2 - gy * e1)
+    """curl(g e) = grad g x e for a Gaussian bump g and constant direction e (solenoidal)."""
+    d, g = _gaussian(grid, width, center, amplitude)
+    return _cross([-x / width ** 2 * g for x in d], axis_vec)
 
 
 def solenoidal_gaussian(grid, width=1.0, center=(0.0, 0.0, 0.0),
@@ -73,9 +77,8 @@ def random_solenoidal(grid, seed=0, n_vortices=4, width_range=(0.7, 1.3), amplit
         e = rng.normal(size=3)
         e /= np.sqrt(np.sum(e ** 2))
         a = amplitude * rng.uniform(0.3, 1.0)
-        comp = _curl_gaussian_arrays(grid, w, c, e, a)
-        for i in range(3):
-            parts[i] += comp[i]
+        for part, comp in zip(parts, _curl_gaussian_arrays(grid, w, c, e, a)):
+            part += comp
     return VectorField3.from_arrays(grid, *parts)
 
 
@@ -117,36 +120,22 @@ def cusp_flow(grid, delta, window):
 
 def ramped_forcing(grid, shape, lap_shape, nu, t_ramp):
     """Forcing whose exact response from rest is q(t) * shape, with
-    q = sin^2(pi t / (2 t_ramp)) ramping from 0 to 1."""
-
-    def sampler(t):
-        q = np.sin(0.5 * np.pi * t / t_ramp) ** 2
-        qp = (0.5 * np.pi / t_ramp) * np.sin(np.pi * t / t_ramp)
-        return VectorField3.from_arrays(
-            grid,
-            *(qp * s.samples - nu * q * l.samples
-              for s, l in zip(shape.components, lap_shape.components)),
-        )
-
-    return ForcingField(grid, sampler)
+    q = sin^2(pi t / (2 t_ramp)) ramping from 0 to 1: q' shape - nu q lap_shape."""
+    return _separable(grid, [
+        (lambda t: (0.5 * np.pi / t_ramp) * np.sin(np.pi * t / t_ramp),
+         [c.samples for c in shape.components]),
+        (lambda t: -nu * np.sin(0.5 * np.pi * t / t_ramp) ** 2,
+         [c.samples for c in lap_shape.components])])
 
 
 def _gaussian_laplacian_curl(grid, width, center, axis_vec, amplitude):
     """Componentwise Laplacian of the curl-Gaussian field (analytic)."""
-    X1, X2, X3 = grid.meshgrid(sparse=True)
-    cx, cy, cz = center
-    dx, dy, dz = X1 - cx, X2 - cy, X3 - cz
-    r2 = dx ** 2 + dy ** 2 + dz ** 2
+    d, g = _gaussian(grid, width, center, amplitude)
     w2 = width ** 2
-    g = amplitude * np.exp(-r2 / (2.0 * w2))
     # Lap(curl(g e)) = curl(Lap(g) e) = grad(Lap g) x e
-    lap_g_over_g = r2 / w2 ** 2 - 3.0 / w2
+    lap_g_over_g = (d[0] ** 2 + d[1] ** 2 + d[2] ** 2) / w2 ** 2 - 3.0 / w2
     # d/dx_i (Lap g) = [2 x_i / w^4 - lap_g_over_g * x_i / w^2] g
-    gx = (2.0 * dx / w2 ** 2 - lap_g_over_g * dx / w2) * g
-    gy = (2.0 * dy / w2 ** 2 - lap_g_over_g * dy / w2) * g
-    gz = (2.0 * dz / w2 ** 2 - lap_g_over_g * dz / w2) * g
-    e1, e2, e3 = axis_vec
-    return (gy * e3 - gz * e2, gz * e1 - gx * e3, gx * e2 - gy * e1)
+    return _cross([(2.0 * x / w2 ** 2 - lap_g_over_g * x / w2) * g for x in d], axis_vec)
 
 
 def solenoidal_gaussian_laplacian(grid, width=1.0, center=(0.0, 0.0, 0.0),
@@ -155,24 +144,31 @@ def solenoidal_gaussian_laplacian(grid, width=1.0, center=(0.0, 0.0, 0.0),
     return VectorField3.from_arrays(grid, *a)
 
 
-def _pulse_forcing(grid, arrays, t_scale):
-    """Forcing q(t) * arrays with q = exp(-t / t_scale)."""
+def _separable(grid, terms):
+    """Forcing X(t) = sum_j q_j(t) S_j from the terms (q_j, S_j), each S_j three
+    arrays: per component one product per term and one add per later term."""
 
     def sampler(t):
-        q = np.exp(-t / t_scale)
-        return VectorField3.from_arrays(grid, *(q * a for a in arrays))
+        (q, S), *rest = [(q_j(t), S_j) for q_j, S_j in terms]
+        out = [q * s for s in S]
+        for q, S in rest:
+            for o, s in zip(out, S):
+                o += q * s
+        return VectorField3.from_arrays(grid, *out)
     return ForcingField(grid, sampler)
+
+
+def _pulse_forcing(grid, arrays, t_scale):
+    """Forcing q(t) * arrays with q = exp(-t / t_scale)."""
+    return _separable(grid, [(lambda t: np.exp(-t / t_scale), arrays)])
 
 
 def gradient_pulse_forcing(grid, width=1.0, amplitude=1.0, t_scale=1.0):
     """Irrotational forcing X = q(t) grad(phi), phi a Gaussian bump."""
     if not (width > 0 and t_scale > 0):
         raise ValueError(f"width and t_scale must be > 0, got {width} and {t_scale}")
-    X1, X2, X3 = grid.meshgrid(sparse=True)
-    r2 = X1 ** 2 + X2 ** 2 + X3 ** 2
-    phi = amplitude * np.exp(-r2 / (2.0 * width ** 2))
-    gcomp = (-X1 / width ** 2 * phi, -X2 / width ** 2 * phi, -X3 / width ** 2 * phi)
-    return _pulse_forcing(grid, gcomp, t_scale)
+    d, phi = _gaussian(grid, width, (0.0, 0.0, 0.0), amplitude)
+    return _pulse_forcing(grid, [-x / width ** 2 * phi for x in d], t_scale)
 
 
 def solenoidal_pulse_forcing(grid, width=1.0, amplitude=1.0, t_scale=1.0,

@@ -95,18 +95,20 @@ class FlowState:
         return self.__dict__.get("diagnostics") or fields.first_order_diagnostics(self.u, self.t)
 
     def forcing_terms(self, forcing):
-        """||X||, sup|X| and the work rate (u, X) of X = forcing.at(t) (zeros for no
-        forcing) from one sample, kept as 3 floats until another forcing asks."""
+        """||X||, sup|X| and the work rate (u, X) of X = forcing.at(t) (zeros for no forcing)
+        from one sample, the solve's own if it took one, kept until another forcing asks."""
         if forcing is None:
             return ForcingTerms(0.0, 0.0, 0.0)
         kept = self.__dict__.get("_forcing_terms")
-        if kept is None or kept[0] is not forcing:
-            X = forcing.at(self.t)
-            work = sum(float(np.sum(a.samples * b.samples))
-                       for a, b in zip(self.u.components, X.components)) * self.grid.cell_volume
-            terms = ForcingTerms(math.sqrt(fields.flow_energy(X)), fields.sup_norm(X), work)
-            kept = self.__dict__["_forcing_terms"] = (forcing, terms)
-        return kept[1]
+        return kept[1] if kept and kept[0] is forcing else self._keep(forcing, forcing.at(self.t))
+
+    def _keep(self, forcing, X):
+        """Keep the terms of X, forcing's sample at t, as 3 floats and that forcing."""
+        work = sum(float(np.sum(a.samples * b.samples))
+                   for a, b in zip(self.u.components, X.components)) * self.grid.cell_volume
+        terms = ForcingTerms(math.sqrt(fields.flow_energy(X)), fields.sup_norm(X), work)
+        self.__dict__["_forcing_terms"] = (forcing, terms)
+        return terms
 
 
 class ForcingField:
@@ -258,14 +260,13 @@ def forced_response(X, params, t, assume_solenoidal=False):
     if t <= 0:
         raise ValueError("t must be > 0")
     g = X.grid
-    return _duhamel(X, params, t,
-                    None if assume_solenoidal else convolver(newton_kernel(g), g.n, g.h))[0]
+    return _duhamel(X, X.at(t), params, t,
+                    None if assume_solenoidal else convolver(newton_kernel(g), g.n, g.h))
 
 
-def _duhamel(X, params, t, newton):
-    """``forced_response`` projected by the Newton convolution ``newton`` (None:
-    not projected), and the forcing sample X(t) its below-floor sliver took
-    (with its own X(t - tau_min))."""
+def _duhamel(X, X_t, params, t, newton):
+    """``forced_response`` from the caller's sample X_t = X(t), projected by the
+    Newton convolution ``newton`` (None: not projected)."""
     grid = X.grid
     nu = params.nu
     H = [np.zeros((grid.n,) * 3) for _ in range(3)]
@@ -276,14 +277,13 @@ def _duhamel(X, params, t, newton):
 
     # below-floor sliver [0, tau_min]: identity action, trapezoid rule
     tau_min = grid.h ** 2 / (FLOOR_FACTOR * nu)
-    X_t = X.at(t)
     H = VectorField3.from_arrays(grid, *(
         a + 0.5 * tau_min * (x.samples + y.samples)
         for a, x, y in zip(H, X_t.components, X.at(t - tau_min).components)))
     if newton is not None:
         pot = ScalarField(grid, newton(divergence(H).samples))
         H = H + VectorField3(*(derive(pot, ax) for ax in (1, 2, 3)))
-    return H, X_t
+    return H
 
 
 def pressure_field(X_t, params):
@@ -329,13 +329,13 @@ def solve_linearized(u0, X, params, times, assume_solenoidal=False):
     states = []
     for t in times:
         u = VectorField3.zeros(grid) if u0_is_zero else heat_propagate(u0, params, t)
-        if X is not None and t > 0:
-            u_forced, X_t = _duhamel(X, params, t, None if assume_solenoidal else newton)
-            u = u + u_forced
-            p = _pressure(X_t, params, newton)
-        else:
-            p = ScalarField.zeros(grid)
-        states.append(FlowState(t=t, u=u, p=p))
+        if X is None or t == 0:
+            states.append(FlowState(t=t, u=u, p=ScalarField.zeros(grid)))
+            continue
+        X_t = X.at(t)  # feeds the sliver, the pressure and the state's forcing terms
+        u = u + _duhamel(X, X_t, params, t, None if assume_solenoidal else newton)
+        states.append(FlowState(t=t, u=u, p=_pressure(X_t, params, newton)))
+        states[-1]._keep(X, X_t)
     return states
 
 

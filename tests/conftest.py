@@ -3,6 +3,7 @@ import pytest
 
 from slowflow import fields, make_grid
 from slowflow.fieldgen import gaussian_bump
+from slowflow.stokes import ForcingField
 
 
 @pytest.fixture
@@ -40,6 +41,17 @@ def count_stencils(monkeypatch):
         monkeypatch.setattr(fields, "_difference", counting)
         return calls
     return start
+
+
+@pytest.fixture
+def count_forcing_samples():
+    """A call that wraps a forcing: it returns a new ForcingField with the same
+    samples, and the time of every sample any wrapped forcing takes goes to the
+    list ``count_forcing_samples.times``."""
+    def counted(forcing):
+        return ForcingField(forcing.grid, lambda t: times.append(t) or forcing.at(t))
+    times = counted.times = []
+    return counted
 
 
 def _full_lattice(octant):

@@ -360,21 +360,20 @@ class TestBoundSuiteFirstOrder:
         assert np.array_equal(ser.column("J1"), [s.diagnostics.J1 for s in states])
         assert calls == []
 
-    def test_forced_branch_samples_each_time_once(self, ramp_run):
+    def test_forced_branch_samples_each_time_once(self, ramp_run, count_forcing_samples):
         F, par, states = ramp_run
-        times = []
-        counted = ForcingField(F.grid, lambda t: (times.append(t), F.at(t))[1])
+        counted, times = count_forcing_samples(F), count_forcing_samples.times
         bound_suite(None, states, counted, par)
         assert times == [s.t for s in states]
 
-    def test_audits_share_one_forcing_sample_per_state(self, ramp_run):
+    def test_audits_share_one_forcing_sample_per_state(self, ramp_run, count_forcing_samples):
         # the series, the energy balance and the bound suite read each state's
         # forcing terms: K fresh states take K samples, another forcing K more
         F, par, solved = ramp_run
         states = _undiagnosed(solved)
-        sampled = []
+        sampled = count_forcing_samples.times
         for forcings in (1, 2):
-            counted = ForcingField(F.grid, lambda s: sampled.append(s) or F.at(s))
+            counted = count_forcing_samples(F)
             ser = diagnostics_series(states, counted, par)
             energy_balance_residual(ser, states, counted, par)
             bound_suite(None, states, counted, par)
@@ -386,6 +385,28 @@ class TestBoundSuiteFirstOrder:
             want = (float(np.sqrt(max(flow_energy(X), 0.0))), sup_norm(X), work)
             assert s.forcing_terms(counted) == want and want[0] > 0
         assert len(sampled) == 2 * len(states)
+
+    def test_solved_states_keep_the_solves_forcing_sample(self, count_forcing_samples):
+        # a forced solve's one X(t) per time t > 0 also gives the state its
+        # forcing terms: the audits, given the solver's forcing, sample t = 0 only
+        g, par = make_grid(16, 4.0), FluidParams(0.5, 1.0)
+        shape = solenoidal_gaussian(g, width=0.9)
+        F = count_forcing_samples(ramped_forcing(
+            g, shape, solenoidal_gaussian_laplacian(g, width=0.9), par.nu, 0.4))
+        states = solve_linearized(shape, F, par, [0.0, 0.1, 0.2, 0.3])
+        sampled = count_forcing_samples.times
+        sampled.clear()
+        ser = diagnostics_series(states, F, par)
+        energy_balance_residual(ser, states, F, par)
+        bound_suite(None, states, F, par)
+        assert sampled == [0.0]
+        for s in states:
+            X = F.at(s.t)
+            work = sum(float(np.sum(a.samples * b.samples))
+                       for a, b in zip(s.u.components, X.components)) * s.grid.cell_volume
+            want = (float(np.sqrt(flow_energy(X))), sup_norm(X), work)
+            assert np.array(s.forcing_terms(F)).tobytes() == np.array(want).tobytes()
+            assert s.t == 0 or min(map(abs, want)) > 0
 
     def test_state_list_checks(self, grid16):
         u0, states = _heat_states(grid16, times=(0.0, 0.1))

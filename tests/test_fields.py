@@ -452,10 +452,33 @@ def _gradient_pulse_by_meshgrid(grid, width, amplitude):
     return (-X1 / width ** 2 * phi, -X2 / width ** 2 * phi, -X3 / width ** 2 * phi)
 
 
+def _bump_by_meshgrid(grid, width, center, amplitude):
+    # frozen copy of gaussian_bump on full coordinate arrays
+    cx, cy, cz = center
+    w2 = 2.0 * width * width
+    return ScalarField.from_function(grid, lambda x, y, z: amplitude * np.exp(
+        -((x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2) / w2)).samples
+
+
+def _ramp_sample(shape, lap_shape, nu, t_ramp, t):
+    # frozen copy of the hand-written ramped_forcing sampler
+    q = np.sin(0.5 * np.pi * t / t_ramp) ** 2
+    qp = (0.5 * np.pi / t_ramp) * np.sin(np.pi * t / t_ramp)
+    return [qp * s.samples - nu * q * l.samples
+            for s, l in zip(shape.components, lap_shape.components)]
+
+
+def _pulse_sample(arrays, t_scale, t):
+    # frozen copy of the hand-written pulse sampler
+    q = np.exp(-t / t_scale)
+    return [q * a for a in arrays]
+
+
 @pytest.mark.parametrize("n", [24, 40, 64])
 def test_broadcast_samplers_equal_the_meshgrid_formulas(n):
     # each cell takes the same operations in the same order from 1D
-    # coordinates as from full coordinate arrays: equal bit for bit
+    # coordinates as from full coordinate arrays, and from the terms of
+    # _separable as from the hand-written samplers: equal bit for bit
     g = make_grid(n, 4.0)
     args = (g, 0.9, (0.3, -0.2, 0.1), (0.2, 0.5, -0.84), 1.3)
     for sampler, frozen in ((fieldgen._curl_gaussian_arrays, _curl_gaussian_by_meshgrid),
@@ -463,9 +486,26 @@ def test_broadcast_samplers_equal_the_meshgrid_formulas(n):
         for a, b in zip(sampler(*args), frozen(*args)):
             assert a.shape == (n,) * 3 and a.flags.c_contiguous
             np.testing.assert_array_equal(a, b)
+    for width, center, amplitude in ((0.9, (0.3, -0.2, 0.1), 1.3), (1.0, (0.0, 0.0, 0.0), -0.7)):
+        got = gaussian_bump(g, width, center, amplitude).samples
+        assert got.tobytes() == _bump_by_meshgrid(g, width, center, amplitude).tobytes()
     X = fieldgen.gradient_pulse_forcing(g, width=0.8, amplitude=1.2, t_scale=0.5).at(0.0)
     for c, b in zip(X.components, _gradient_pulse_by_meshgrid(g, 0.8, 1.2)):
         np.testing.assert_array_equal(c.samples, b)
+    shape = solenoidal_gaussian(g, width=0.9, axis_vec=(0.2, 0.5, -0.84))
+    lap = fieldgen.solenoidal_gaussian_laplacian(g, width=0.9, axis_vec=(0.2, 0.5, -0.84))
+    ramp = fieldgen.ramped_forcing(g, shape, lap, 0.37, 0.4)
+    grad = fieldgen.gradient_pulse_forcing(g, width=0.8, amplitude=1.2, t_scale=0.5)
+    vortex = fieldgen.solenoidal_pulse_forcing(g, width=0.9, amplitude=1.3, t_scale=0.7,
+                                               axis_vec=(0.2, 0.5, -0.84))
+    grad_0 = _gradient_pulse_by_meshgrid(g, 0.8, 1.2)
+    vortex_0 = _curl_gaussian_by_meshgrid(g, 0.9, (0.0, 0.0, 0.0), (0.2, 0.5, -0.84), 1.3)
+    for t in (0.013, 0.15, 0.4, 1.7):
+        for F, want in ((ramp, _ramp_sample(shape, lap, 0.37, 0.4, t)),
+                        (grad, _pulse_sample(grad_0, 0.5, t)),
+                        (vortex, _pulse_sample(vortex_0, 0.7, t))):
+            for c, b in zip(F.at(t).components, want):
+                assert c.samples.tobytes() == b.tobytes()
 
 
 def test_sparse_meshgrid_broadcasts_to_the_full_one(grid32):

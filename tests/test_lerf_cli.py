@@ -357,12 +357,16 @@ def test_override_on_malformed_config_is_a_config_error(tmp_path, capsys, raw, f
     ("verify", {"checks": ["negative_control"], "times": {"count": 1}}, "negative_control"),
     ("verify", {"checks": ["energy_balance"], "times": {"count": 2}}, "energy_balance"),
     ("convergence-study", {"study": "energy_balance", "times": {"count": 2}}, "energy_balance"),
+    ("convergence-study", {"grids": [24, 16]}, "grids"),
+    ("convergence-study", {"grids": [16, 16]}, "grids"),
+    ("mollify-study", {"epsilons": [2.0, 2.0, 1.5]}, "epsilons"),
 ], ids=["fractional-count", "fractional-grids", "bool-epsilon", "string-L", "string-nu",
         "bool-nu", "null-rho", "null-start", "string-end", "null-field-width",
         "int-output", "null-output", "list-generator", "null-param", "string-width",
         "string-t-scale", "unknown-param", "fractional-seed", "string-seed",
         "no-epsilons", "one-epsilon", "zero-field-width", "under-resolved-epsilon",
-        "one-time-negative-control", "two-time-energy-balance", "two-time-energy-study"])
+        "one-time-negative-control", "two-time-energy-balance", "two-time-energy-study",
+        "decreasing-grids", "repeated-grids", "repeated-epsilon"])
 def test_config_numbers_are_not_truncated_or_coerced(tmp_path, capsys, command, extra, field):
     path = _write_config(tmp_path, extra)
     code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])

@@ -377,13 +377,13 @@ class TestForcedResponse:
             forced_response(F, par, 0.15, assume_solenoidal=assume_solenoidal)
         assert calls == {"kernel_fft": min(expected, 1), "field_fft": expected}
 
-    def test_forced_solve_samples_the_forcing_once_per_node_and_time(self):
+    def test_forced_solve_samples_the_forcing_once_per_node_and_time(self, count_forcing_samples):
         # the forced_duhamel benchmark settings: 8 nodes, then X(t - tau_min)
-        # and X(t) for the below-floor sliver; the pressure reuses X(t)
+        # and X(t) for the below-floor sliver; the pressure and the state's
+        # forcing terms reuse X(t)
         g, par = make_grid(24, 4.0), FluidParams(0.25, 1.0)
-        pulse = gradient_pulse_forcing(g, width=1.0, t_scale=0.5)
-        sampled = []
-        F = ForcingField(g, lambda s: sampled.append(s) or pulse.at(s))
+        F = count_forcing_samples(gradient_pulse_forcing(g, width=1.0, t_scale=0.5))
+        sampled = count_forcing_samples.times
         solve_linearized(VectorField3.zeros(g), F, par, [0.15])
         assert len(sampled) == len(_duhamel_rule(0.15, g.h, par.nu)[0]) + 2 == 10
 
