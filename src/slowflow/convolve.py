@@ -6,36 +6,29 @@ array, center = offset 0) or, if even or odd along each axis, as the
 treats U as zero outside the box.  One FFT engine, ``SpectralAccumulator``,
 serves every FFT convolution; ``convolver`` transforms a kernel once for many
 fields, and a direct-sum path exists for oracle comparisons on small grids.
-The import loads numpy only; ``sfft``, the scipy.fft module, executes at the first transform.
+Every transform is numpy.fft's (``sfft``), so the module loads no scipy.
 
 Free-space padding (Hockney & Eastwood): a kernel centred in a cyclic box
 (offset m at index m mod P) gives the linear result on the window [0, n) once
 P >= n + R, and P is the smallest even fast length >= n + R.  Field transforms
 skip the lines the padding leaves zero or the crop discards.  A general kernel
 takes one rfftn; an octant kernel a DCT-I per even axis and -i times a DST-I
-per odd one, of length P/2 + 1 (Martucci, IEEE Trans. Signal Process. 42:1038,
-1994): n^3 samples, not (2n - 1)^3, and an even kernel's spectrum is real.
+per odd one, of length P/2 + 1, each one unscaled inverse real FFT of length P
+(Martucci, IEEE Trans. Signal Process. 42:1038, 1994): n^3 samples, not
+(2n - 1)^3, and an even kernel's spectrum is real.
 
 Kernels with an integrable singularity at an offset are represented by their
 exact cell averages near the singular point (scale-invariant constants,
 computed once by quadrature) and by midpoint values elsewhere.
 """
 
-import importlib.util
-import os
-import sys
 from collections import namedtuple
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 
-if "scipy.fft" not in sys.modules:
-    _spec = importlib.util.find_spec("scipy.fft")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    sys.modules["scipy.fft"] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(sys.modules["scipy.fft"])
-sfft = sys.modules["scipy.fft"]
+sfft = np.fft
 
 # Integral of 1/|z|^2 over the unit corner cube [0,1]^3 (octant recursion +
 # Gauss-Legendre; agrees with the Bailey-Borwein box integral B3(-2)).
@@ -47,11 +40,18 @@ NEAR = 3
 
 
 def fft_workers():
-    """Thread count for FFTs, from SLOWFLOW_THREADS (default 1, deterministic)."""
-    try:
-        return max(1, int(os.environ.get("SLOWFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
+    """Thread count of the FFTs: 1, as numpy.fft runs on one thread."""
+    return 1
+
+
+def _fast_len(m):
+    """The smallest 2,3,5,7,11-smooth integer >= m (scipy.fft.next_fast_len's rule)."""
+    def rough(k):
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        return k
+    return next(k for k in count(m) if rough(k) == 1)
 
 
 # A kernel even along every axis but odd_axis (odd there; None: even in all),
@@ -98,39 +98,41 @@ class SpectralAccumulator:
 
     def __init__(self, n, radius_cells, h):
         self.n, self.R, self.h = n, int(radius_cells), h
-        self.P = 2 * sfft.next_fast_len((n + self.R + 1) // 2)
+        self.P = 2 * _fast_len((n + self.R + 1) // 2)
         self._acc = None
 
     def field_fft(self, samples):
-        # last axis first, over the n^2 data lines only; then overwrite our own copy
-        half = sfft.rfft(samples, n=self.P, axis=2, workers=fft_workers())
-        return sfft.fftn(half, s=(self.P,) * 2, axes=(0, 1), overwrite_x=True,
-                         workers=fft_workers())
+        # last axis first, into the n^2 data lines of the zeroed spectrum; then
+        # axis 1 on the n data planes only, and axis 0
+        n, P = self.n, self.P
+        out = np.zeros((P, P, P // 2 + 1), complex)
+        sfft.rfft(samples, n=P, axis=2, out=out[:n, :n])
+        sfft.fft(out[:n], axis=1, out=out[:n])
+        return sfft.fft(out, axis=0, out=out)
 
     def kernel_fft(self, kernel):
         """The half spectrum of the kernel centred in the P^3 box.  An octant takes
-        a DCT-I or DST-I per axis, last first; axes 0 and 1 then reach length P
+        a DCT-I or DST-I per axis, axis 0 first; axes 0 and 1 then reach length P
         by K^[P - k] = +-K^[k].  Real if even, -i times real if odd."""
         octant = isinstance(kernel, Octant)
         shape = np.shape(kernel.samples if octant else kernel)
         if shape != (self.R + 1 if octant else 2 * self.R + 1,) * 3:
             raise ValueError(f"kernel shape {shape} does not match radius {self.R}")
-        P, M, w = self.P, self.P // 2, fft_workers()
+        P, M = self.P, self.P // 2
         if not octant:
             box = np.pad(kernel, (0, P - shape[0]))  # offset m at index m + R
-            return sfft.rfftn(np.roll(box, -self.R, axis=(0, 1, 2)), workers=w)
+            return sfft.rfftn(np.roll(box, -self.R, axis=(0, 1, 2)))
         odd, S = kernel.odd_axis, kernel.samples
-        for ax in (2, 1, 0):
-            if ax == odd:  # offsets 1..M-1; the spectrum is 0 at 0 and M
-                T, S = S.swapaxes(0, ax)[1:], np.zeros(S.shape[:ax] + (M + 1,) + S.shape[ax + 1:])
-                S.swapaxes(0, ax)[1:M] = sfft.dst(T, type=1, n=M - 1, axis=0, workers=w)
-            else:
-                S = sfft.dct(S, type=1, n=M + 1, axis=ax, workers=w)
-        out = np.empty((P, P, M + 1))
+        for ax in (0, 1, 2):  # DCT-I of S, or DST-I as that of -i*S: one unscaled
+            # irfft along the last axis, where the complex cast moves axis ax
+            S = np.multiply(S.transpose(1, 2, 0), -1j if ax == odd else 1 + 0j, order="C")
+            S = sfft.irfft(S, n=P, norm="forward")[..., :M + 1]
+        S = S if odd is None else -1j * S
+        out = np.empty((P, P, M + 1), S.dtype)
         out[:M + 1, :M + 1] = S
         np.multiply(S[M - 1:0:-1], 1 - 2 * (odd == 0), out=out[M + 1:, :M + 1])
         np.multiply(out[:, M - 1:0:-1], 1 - 2 * (odd == 1), out=out[:, M + 1:])
-        return out if odd is None else -1j * out
+        return out
 
     def add(self, field_fft, kernel_fft):
         term = field_fft * kernel_fft
@@ -140,10 +142,10 @@ class SpectralAccumulator:
         """The accumulated sum cropped to the box, each axis pass keeping only
         the window; empties the accumulator, whose transform it overwrites."""
         acc, self._acc = self._acc, None
-        keep, w = slice(0, self.n), fft_workers()
-        acc = sfft.ifft(acc, axis=0, overwrite_x=True, workers=w)[keep]
-        acc = sfft.ifft(acc, axis=1, overwrite_x=True, workers=w)[:, keep]
-        acc = sfft.irfft(acc, n=self.P, axis=2, overwrite_x=True, workers=w)
+        keep = slice(0, self.n)
+        acc = sfft.ifft(acc, axis=0, out=acc)[keep]
+        acc = sfft.ifft(acc, axis=1, out=acc)[:, keep]
+        acc = sfft.irfft(acc, n=self.P, axis=2)
         return acc[..., keep] * self.h ** 3
 
 

@@ -5,6 +5,7 @@ u32 component count (1 or 3), then count * n^3 f64 samples per component in
 row-major order with x1 fastest.  Round-trips are bit-exact.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -44,13 +45,17 @@ def read_field(path):
             raise LerfError(f"unsupported LERF version {version}")
         if count not in (1, 3):
             raise LerfError(f"invalid component count {count}")
-        grid = make_grid(int(n), float(L))
-        need = count * n ** 3 * 8
-        payload = f.read(need + 1)
-        if len(payload) < need:
+        try:
+            grid = make_grid(int(n), float(L))
+        except ValueError as e:
+            raise LerfError(f"invalid grid: {e}") from None
+        # the claimed size against the file's, before anything is allocated
+        need, size = count * n ** 3 * 8, os.fstat(f.fileno()).st_size - _HEADER.size
+        if size < need:
             raise LerfError("unexpected end of payload")
-        if len(payload) > need:
+        if size > need:
             raise LerfError("trailing bytes after payload")
+        payload = f.read(need)
     raw = np.frombuffer(payload, dtype="<f8")
     comps = [ScalarField(grid, block.reshape((n, n, n), order="F").copy())
              for block in raw.reshape(count, n ** 3)]

@@ -201,10 +201,11 @@ def test_newton_kernel_symmetric_and_positive(full_lattice):
     assert F[c + 5, c, c] == N.samples[5, 0, 0] == pytest.approx(1.0 / (4 * np.pi * r), rel=1e-4)
 
 
-@pytest.mark.parametrize("n", [8, 14, 24])
+@pytest.mark.parametrize("n", [8, 14, 22, 24, 28])
 def test_octant_spectra_match_rfftn_of_the_centred_full_lattice(full_lattice, n):
-    # formerly odd P = 15, 27 and 48; now P = 16, 28 and 48.  Each offset m of
-    # the full lattice goes to index m mod P of the box, one rfftn transforms it
+    # formerly odd P = 15, 27 and 48; now P = 16, 28 and 48, and P/2 = 14, 22
+    # and 28 carry a factor 7 or 11.  Each offset m of the full lattice goes to
+    # index m mod P of the box, one rfftn transforms it
     g = make_grid(n, 2.0)
     acc = SpectralAccumulator(n, n - 1, g.h)
     pos = np.arange(-(n - 1), n) % acc.P
@@ -250,33 +251,35 @@ def test_octant_and_its_full_lattice_give_identical_direct_sums_and_bounds(rng, 
         assert vars(convolution_bound_check(K, U)) == vars(convolution_bound_check(F, U))
 
 
-# The start-up contract needs fresh interpreters: this module imports scipy.fft itself.
-START_UP = textwrap.dedent("""
+# The start-up contract needs a fresh interpreter: this module imports scipy.fft
+# itself.  A meta-path finder refuses every scipy import, so a command that
+# reached scipy would fail instead of loading it.
+NO_SCIPY = textwrap.dedent("""
     import json, sys
     from pathlib import Path
 
+    class NoScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] == "scipy":
+                raise ImportError(f"{name} is blocked")
+
+    sys.meta_path.insert(0, NoScipy())
+
     import numpy as np
 
-    import slowflow, slowflow.cli
+    import slowflow.cli
     from slowflow import convolve
 
-    def scipy_loaded():
-        return sorted(m for m in sys.modules if m.startswith(("scipy.fft._", "scipy.special")))
-
-    tmp, lazy = Path(sys.argv[1]), convolve.sfft
-    seen = {"import": scipy_loaded()}
-    cfg = {"grid": {"n": 24, "L": 6.0}, "times": {"start": 0.0, "end": 0.5, "count": 3},
-           "initial": {"generator": "solenoidal_gaussian", "params": {"width": 1.0}}}
-    (tmp / "unforced.json").write_text(json.dumps(cfg))
-    code = slowflow.cli.main(["verify", "--config", str(tmp / "unforced.json"),
-                              "--out", str(tmp / "verify")])
-    seen["verify"] = [code, scipy_loaded()]
-    cfg["forcing"] = {"generator": "solenoidal_pulse"}
-    (tmp / "forced.json").write_text(json.dumps(cfg))
-    code = slowflow.cli.main(["solve", "--config", str(tmp / "forced.json"),
-                              "--out", str(tmp / "solve")])
-    seen["solve"] = [code, "scipy.fft._basic" in sys.modules]
-    seen["same_module"] = convolve.sfft is lazy is sys.modules["scipy.fft"]
+    tmp, seen = Path(sys.argv[1]), {}
+    base = {"grid": {"n": 16, "L": 4.0}, "times": {"start": 0.0, "end": 0.5, "count": 3},
+            "forcing": {"generator": "solenoidal_pulse"}}
+    for command, extra in (("solve", {}), ("verify", {"checks": list(slowflow.cli.VERIFY_CHECKS)}),
+                           ("mollify-study", {"epsilons": [2.0, 1.0]}),
+                           ("convergence-study", {"grids": [16, 24]})):
+        (tmp / f"{command}.json").write_text(json.dumps(dict(base, **extra)))
+        seen[command] = slowflow.cli.main([command, "--config", str(tmp / f"{command}.json"),
+                                           "--out", str(tmp / command)])
+    seen["scipy"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     rng = np.random.default_rng(3)
     u, K = rng.standard_normal((8, 8, 8)), rng.standard_normal((5, 5, 5))
     seen["oracle"] = bool(np.allclose(convolve.convolve_offsets(u, K, 0.3),
@@ -285,25 +288,20 @@ START_UP = textwrap.dedent("""
 """)
 
 
-def _fresh_python(code, *args):
+def test_no_command_imports_scipy(tmp_path):
     src = str(Path(convolve.__file__).parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", code, *args],
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", NO_SCIPY, str(tmp_path)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def test_scipy_fft_loads_at_the_first_transform(tmp_path):
-    seen = _fresh_python(START_UP, str(tmp_path))
-    assert seen["import"] == []
-    assert seen["verify"] == [0, []]  # an unforced default verify makes no transform
-    assert seen["solve"] == [0, True]
-    assert seen["same_module"]
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    # verify exits 1 by design: its negative control must fail
+    assert [seen[c] for c in ("solve", "verify", "mollify-study", "convergence-study")] == [0, 1, 0, 0]
+    assert seen["scipy"] == []
     assert seen["oracle"]
 
 
-def test_a_scipy_fft_imported_first_is_the_one_used():
-    assert _fresh_python("import json, scipy.fft, slowflow.convolve; "
-                         "print(json.dumps(slowflow.convolve.sfft is scipy.fft))")
+def test_fast_len_is_scipys_next_fast_len():
+    assert [convolve._fast_len(m) for m in range(1, 4097)] == \
+        [sfft.next_fast_len(m) for m in range(1, 4097)]

@@ -80,6 +80,19 @@ class TestLerf:
         with pytest.raises(LerfError, match="trailing"):
             read_field(p)
 
+    @pytest.mark.parametrize("n, L, message", [
+        (7, 4.0, "invalid grid: n must be even"),
+        (8, float("nan"), "invalid grid: L must be > 0"),
+        (100000, 4.0, "unexpected end of payload"),  # claims 8e15 bytes
+        (2 ** 20, 4.0, "unexpected end of payload"),  # claims 2^63 bytes
+    ])
+    def test_corrupted_header_is_a_lerf_error(self, tmp_path, n, L, message):
+        # a header and 64 bytes: the claim is refused before any payload is read
+        p = tmp_path / "corrupt.lerf"
+        p.write_bytes(struct.pack("<4sIIdI", b"LERF", 1, n, L, 1) + b"\0" * 64)
+        with pytest.raises(LerfError, match=message):
+            read_field(p)
+
 
 BASE_CONFIG = {
     "grid": {"n": 16, "L": 6.0},
@@ -440,23 +453,21 @@ def test_grid_L_override(tmp_path):
 
 
 def test_thread_env_var_does_not_change_results(tmp_path, monkeypatch, rng):
+    # numpy.fft has no worker count: SLOWFLOW_THREADS is not read
     from slowflow.convolve import convolve_offsets, fft_workers
     g = make_grid(16, 4.0)
     field = rng.standard_normal((16,) * 3)
     kernel = rng.standard_normal((7, 7, 7))
     base = convolve_offsets(field, kernel, g.h)
     monkeypatch.setenv("SLOWFLOW_THREADS", "4")
-    assert fft_workers() == 4
-    np.testing.assert_array_equal(convolve_offsets(field, kernel, g.h), base)
-    monkeypatch.setenv("SLOWFLOW_THREADS", "not-a-number")
     assert fft_workers() == 1
+    np.testing.assert_array_equal(convolve_offsets(field, kernel, g.h), base)
 
 
 def test_forced_solve_is_byte_identical_across_thread_counts(tmp_path):
-    # the heat step and the Duhamel node loop run on BLAS, the Newtonian
-    # convolutions (DCT-I kernel spectrum) and the representation check's
-    # dipole convolutions (DST-I along each odd axis) on the FFT workers:
-    # neither thread count may change a byte
+    # the heat step and the Duhamel node loop run on BLAS: its thread count
+    # may not change a byte of the solve, nor of the representation check's
+    # dipole convolutions
     path = _write_config(tmp_path, {
         "grid": {"n": 24, "L": 4.0},
         "forcing": {"generator": "gradient_pulse", "params": {"width": 1.0, "t_scale": 0.5}},
@@ -468,7 +479,7 @@ def test_forced_solve_is_byte_identical_across_thread_counts(tmp_path):
         outs = []
         for threads in ("1", "2"):
             out = tmp_path / f"{command}{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, SLOWFLOW_THREADS=threads)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "slowflow.cli", command,
                  "--config", str(path), "--out", str(out), *extra],
