@@ -21,15 +21,21 @@ __all__ = [
 
 
 def _gaussian(grid, width, center, amplitude):
-    """Sparse offsets d = x - c and the Gaussian g = a exp(-|d|^2 / (2 w^2))."""
+    """Sparse offsets d = x - c and g = a exp(-|d|^2 / (2 w^2)), in one n^3 array."""
     d = [X - c for X, c in zip(grid.meshgrid(sparse=True), center)]
-    return d, amplitude * np.exp(-(d[0] ** 2 + d[1] ** 2 + d[2] ** 2) / (2.0 * width * width))
+    g = d[0] ** 2 + d[1] ** 2 + d[2] ** 2
+    np.exp(np.divide(np.negative(g, out=g), 2.0 * width * width, out=g), out=g)
+    return d, np.multiply(g, amplitude, out=g)
 
 
 def _cross(grad, e):
-    """grad f x e for a constant direction e."""
+    """grad f x e for a constant direction e, written over grad's z and x arrays."""
     (gx, gy, gz), (e1, e2, e3) = grad, e
-    return (gy * e3 - gz * e2, gz * e1 - gx * e3, gx * e2 - gy * e1)
+    c1, scratch = gy * e3, np.empty_like(gx)
+    c1 -= np.multiply(gz, e2, out=scratch)
+    for a, ea, b, eb in ((gz, e1, gx, e3), (gx, e2, gy, e1)):
+        np.subtract(np.multiply(a, ea, out=a), np.multiply(b, eb, out=scratch), out=a)
+    return c1, gz, gx
 
 
 def gaussian_bump(grid, width=1.0, center=(0.0, 0.0, 0.0), amplitude=1.0):
@@ -52,8 +58,9 @@ def gaussian_mixture(grid, rng, n_bumps=3, width_range=(0.6, 1.4), center_radius
 
 def _curl_gaussian_arrays(grid, width, center, axis_vec, amplitude):
     """curl(g e) = grad g x e for a Gaussian bump g and constant direction e (solenoidal)."""
-    d, g = _gaussian(grid, width, center, amplitude)
-    return _cross([-x / width ** 2 * g for x in d], axis_vec)
+    d, g = _gaussian(grid, width, center, amplitude)  # g becomes the z derivative
+    grad = [-x / width ** 2 * g for x in d[:2]] + [np.multiply(g, -d[2] / width ** 2, out=g)]
+    return _cross(grad, axis_vec)
 
 
 def solenoidal_gaussian(grid, width=1.0, center=(0.0, 0.0, 0.0),

@@ -105,7 +105,7 @@ def mollify(U, k):
 
 
 def mollify_direct(U, k):
-    """Direct-sum reference path (oracle for the FFT route; small grids)."""
+    """Direct-sum reference path (oracle for the padded route; small grids)."""
     _check_resolved(U, k)
     return ScalarField(U.grid, convolve_direct(U.samples, kernel_on_grid(k, U.grid), U.grid.h))
 

@@ -273,7 +273,7 @@ def _duhamel(X, X_t, params, t, newton):
     for tau, w in zip(*_duhamel_rule(t, grid.h, nu)):
         Xf = X.at(t - tau)
         for acc, a in zip(H, _heat_apply([c.samples for c in Xf.components], grid, nu * tau)):
-            acc += w * a
+            acc += np.multiply(a, w, out=a)  # a is fresh: scaled in place
 
     # below-floor sliver [0, tau_min]: identity action, trapezoid rule
     tau_min = grid.h ** 2 / (FLOOR_FACTOR * nu)

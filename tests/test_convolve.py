@@ -4,20 +4,23 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from slowflow import ScalarField, convolve, derive, make_grid
+from slowflow import ScalarField, VectorField3, convolve, derive, make_grid, mollifier
 from slowflow.analysis import convolution_bound_check, representation_reconstruct
 from slowflow.convolve import (Octant, SpectralAccumulator, convolve_direct,
                                convolve_offsets, convolver, dipole_kernels,
                                gauss_legendre_cell_average,
                                inverse_square_weights, newton_kernel,
                                offset_lattice)
-from slowflow.fieldgen import gaussian_bump
+from slowflow.fieldgen import gaussian_bump, gradient_pulse_forcing
+from slowflow.mollifier import make_kernel, mollify, mollify_derivative
+from slowflow.stokes import FluidParams, solve_linearized
 
 
 def test_fft_matches_direct_sum(rng):
@@ -114,11 +117,13 @@ def test_repeated_applies_leave_the_kernel_transform_intact(rng, monkeypatch):
     monkeypatch.setattr(SpectralAccumulator, "kernel_fft",
                         lambda self, k: kept.append(orig(self, k)) or kept[-1])
     apply = convolver(kernel, g.n, g.h)
-    pristine = kept[0].copy()
+    pristine = [(odd, T.copy()) for odd, T in kept[0]]
     first = apply(field)
     for _ in range(3):
         np.testing.assert_array_equal(apply(field), first)
-    np.testing.assert_array_equal(kept[0], pristine)
+    assert [odd for odd, _ in kept[0]] == [odd for odd, _ in pristine]
+    for (_, T), (_, T0) in zip(kept[0], pristine):
+        np.testing.assert_array_equal(T, T0)
 
 
 @pytest.mark.parametrize("shape", [(7, 7, 5), (6, 6, 6), (7, 7), (7, 7, 7, 1)])
@@ -205,18 +210,109 @@ def test_newton_kernel_symmetric_and_positive(full_lattice):
 def test_octant_spectra_match_rfftn_of_the_centred_full_lattice(full_lattice, n):
     # formerly odd P = 15, 27 and 48; now P = 16, 28 and 48, and P/2 = 14, 22
     # and 28 carry a factor 7 or 11.  Each offset m of the full lattice goes to
-    # index m mod P of the box, one rfftn transforms it
+    # index m mod P of the box, one rfftn transforms it.  The engine keeps the
+    # frequencies 0..P/2 of each axis as one real octant T, the DFT being T
+    # times -i per odd axis (the other frequencies mirror these)
     g = make_grid(n, 2.0)
     acc = SpectralAccumulator(n, n - 1, g.h)
+    M = acc.P // 2
     pos = np.arange(-(n - 1), n) % acc.P
     for K in [newton_kernel(g)] + dipole_kernels(g):
         box = np.zeros((acc.P,) * 3)
         box[np.ix_(pos, pos, pos)] = full_lattice(K)
-        ref = sfft.rfftn(box)
-        got = acc.kernel_fft(K)
-        assert got.shape == ref.shape
-        assert np.isrealobj(got) == (K.odd_axis is None)
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+        ref = sfft.rfftn(box)[:M + 1, :M + 1]
+        [(odd, got)] = acc.kernel_fft(K)
+        assert odd == tuple(ax == K.odd_axis for ax in range(3))
+        assert got.shape == ref.shape and np.isrealobj(got)
+        np.testing.assert_allclose((-1j) ** sum(odd) * got, ref, rtol=0,
+                                   atol=1e-13 * np.abs(ref).max())
+
+
+def _kernel_families(g, R, rng):
+    """Newton, the 3 dipoles, a mollifier kernel, its d/dx1 and d2/dx1dx3
+    kernels and a random cube, all of radius R, with their parity-part counts."""
+    octants = [Octant(K.samples[:R + 1, :R + 1, :R + 1], K.odd_axis)
+               for K in [newton_kernel(g)] + dipole_kernels(g)]
+    k = make_kernel((R - 1.5) * g.h)  # support radius ceil(R - 1.5) + 1 = R cells
+    cubes = [mollifier._sampled(k, g, axes) for axes in ((), (0,), (0, 2))]
+    cubes.append(rng.standard_normal((2 * R + 1,) * 3))
+    return [(K, 1) for K in octants + cubes[:3]] + [(cubes[3], 8)]
+
+
+@pytest.mark.parametrize("n, radius", [(8, 7), (14, 13), (8, 4), (14, 4), (16, 4), (22, 4),
+                                       (28, 4)])
+def test_matrix_transforms_match_the_direct_sum_for_every_kernel_family(rng, n, radius):
+    # R = n - 1 only up to n = 14: the direct sum takes 1-3 s per dense kernel
+    # at n = 22-28, where the sparse kernels of the next test reach R = n - 1
+    g = make_grid(n, n / 4.0)
+    field = rng.standard_normal((n,) * 3)
+    for K, parts in _kernel_families(g, radius, rng):
+        acc = SpectralAccumulator(n, radius, g.h)
+        assert len(acc.kernel_fft(K)) == parts
+        a = convolve_offsets(field, K, g.h)
+        b = convolve_direct(field, K, g.h)
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
+
+
+@pytest.mark.parametrize("n", [8, 14, 16, 22, 28])
+def test_matrix_transforms_match_the_direct_sum_at_full_radius(rng, n):
+    # sparse random kernels reach the padding limit R = n - 1 cheaply: an
+    # octant of each parity (even, odd along axis 0, 1 or 2; zero at offset 0
+    # of its odd axis) and a cube with all 8 parity parts, each nonzero at its
+    # extreme offsets
+    R = n - 1
+    field = rng.standard_normal((n,) * 3)
+
+    def sparse(shape, odd=None):
+        K = rng.standard_normal(shape) * (rng.random(shape) < 0.02)
+        K[-1, -1, -1] = K[1, -1, 1] = K[-1, 1, -1] = 1.0
+        if odd is None:
+            K[0, 0, 0] = 1.0
+        else:
+            K.swapaxes(0, odd)[0] = 0.0
+        return K
+    kernels = [Octant(sparse((R + 1,) * 3, odd), odd) for odd in (None, 0, 1, 2)]
+    kernels.append(sparse((2 * R + 1,) * 3))
+    for K in kernels:
+        a = convolve_offsets(field, K, 0.25)
+        b = convolve_direct(field, K, 0.25)
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
+
+
+@pytest.mark.parametrize("n", [32, 48])
+def test_a_newton_apply_holds_less_than_one_padded_cube(rng, n):
+    # the axis-2 pass runs in slabs of about 512 rows (P = 64 and 96 here, so
+    # a slab is a few planes): the peak of all arrays an apply holds at once,
+    # field spectrum included, stays below the P^3 doubles of one padded box
+    g = make_grid(n, 4.0)
+    apply = convolver(newton_kernel(g), n, g.h)
+    field = rng.standard_normal((n,) * 3)
+    P = SpectralAccumulator(n, n - 1, g.h).P
+    tracemalloc.start()
+    try:
+        out = apply(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n,) * 3
+    assert peak < 8 * P ** 3
+
+
+def test_no_convolution_calls_numpy_fft(monkeypatch, rng):
+    # every convolution runs on matrix products: a forced solve (projection
+    # and pressure), the representation check and the mollifier
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.fft called")
+    for name in np.fft.__all__:
+        monkeypatch.setattr(np.fft, name, refuse)
+    g = make_grid(16, 4.0)
+    F = gradient_pulse_forcing(g, width=1.0, t_scale=0.5)
+    [state] = solve_linearized(VectorField3.zeros(g), F, FluidParams(0.25, 1.0), [0.15])
+    rec, _ = representation_reconstruct(gaussian_bump(g, width=1.0))
+    U = mollify(gaussian_bump(g, width=1.0), make_kernel(4 * g.h))
+    dU = mollify_derivative(U, make_kernel(4 * g.h), (1, 0, 1))
+    for a in (state.p.samples, state.u.components[0].samples, rec.samples, U.samples, dU.samples):
+        assert np.all(np.isfinite(a)) and np.abs(a).max() > 0
 
 
 def test_fft_matches_direct_sum_at_full_radius_on_n14(rng, full_lattice):

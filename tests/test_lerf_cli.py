@@ -453,7 +453,8 @@ def test_grid_L_override(tmp_path):
 
 
 def test_thread_env_var_does_not_change_results(tmp_path, monkeypatch, rng):
-    # numpy.fft has no worker count: SLOWFLOW_THREADS is not read
+    # convolutions run on BLAS, whose threads slowflow does not set:
+    # SLOWFLOW_THREADS is not read
     from slowflow.convolve import convolve_offsets, fft_workers
     g = make_grid(16, 4.0)
     field = rng.standard_normal((16,) * 3)
@@ -465,17 +466,20 @@ def test_thread_env_var_does_not_change_results(tmp_path, monkeypatch, rng):
 
 
 def test_forced_solve_is_byte_identical_across_thread_counts(tmp_path):
-    # the heat step and the Duhamel node loop run on BLAS: its thread count
-    # may not change a byte of the solve, nor of the representation check's
-    # dipole convolutions
+    # the heat step, the Duhamel node loop and every convolution run on BLAS:
+    # its thread count may not change a byte of the solve (its Newton
+    # convolutions), of the representation check's dipole convolutions, nor of
+    # the mollifier study's cube kernels
     path = _write_config(tmp_path, {
         "grid": {"n": 24, "L": 4.0},
         "forcing": {"generator": "gradient_pulse", "params": {"width": 1.0, "t_scale": 0.5}},
         "params": {"nu": 0.25, "rho": 1.0},
         "times": {"start": 0.0, "end": 0.3, "count": 3},
+        "epsilons": [1.5, 1.0],
     })
     for command, extra, files in (("solve", [], 3 * 4 + 2),
-                                  ("verify", ["--check", "representation"], 2)):
+                                  ("verify", ["--check", "representation"], 2),
+                                  ("mollify-study", [], 2)):
         outs = []
         for threads in ("1", "2"):
             out = tmp_path / f"{command}{threads}"
