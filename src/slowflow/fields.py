@@ -18,7 +18,8 @@ strided view, and nothing 3D is allocated besides the result.  The
 diagnostics take undivided differences into 2 workspaces and scale each norm
 once at the end: D1 is exact (rounded division is monotone), J1 and J2 match
 the divided derivatives to round-off.  Their sums of squares run on einsum,
-never on BLAS, whose summation order depends on its thread count.
+never on BLAS, whose summation order depends on its thread count.  With a
+divergence tolerance, the first-order pass is also the solver's solenoidal check.
 """
 
 from collections import namedtuple
@@ -248,13 +249,13 @@ def _sum_squares(a):
     return np.einsum("i,i->", a.ravel(order="K"), a.ravel(order="K"))
 
 
-def _norms(u, m):
-    """[J1, ..., Jm] and D1 of u from undivided differences, per component and
-    axis: the first one f, then (m = 2) the pure second one and those of f along
-    each later axis (2 ordered pairs each).  Each norm is scaled once at the end."""
+def _norms(u, m, div_rtol=None):
+    """[J1, ..., Jm] and D1 of u from undivided differences per component and axis: the
+    first one f, then (m = 2) the pure second one and those of f along each later axis (2
+    ordered pairs each), each norm scaled once; u fails if ||div u|| > div_rtol J1 (if given)."""
     s1 = pure = mixed = big = 0.0
-    f = g = None  # the first difference and the second-order workspace
-    for c in u.components:
+    f = g = div = None  # the first difference, the second-order workspace, div u
+    for i, c in enumerate(u.components):
         a = c.samples
         f = _like(a, f)
         g = _like(f, g) if m == 2 else None
@@ -262,10 +263,14 @@ def _norms(u, m):
             _difference(a, ax, 1, f)
             s1 += _sum_squares(f)
             big = max(big, f.max(), -f.min())
+            if div_rtol is not None and ax == i:
+                div = f.copy(order="K") if div is None else np.add(div, f, out=div)
             if m == 2:
                 pure += _sum_squares(_difference(a, ax, 2, g))
                 for bx in range(ax + 1, 3):
                     mixed += _sum_squares(_difference(f, bx, 1, g))
+    if div_rtol is not None and s1 > 0 and np.sqrt(_sum_squares(div)) > div_rtol * np.sqrt(s1):
+        raise ValueError("u0 is not solenoidal within tolerance")
     h, vol = u.grid.h, u.grid.cell_volume
     J = [float(np.sqrt(s1 * vol)) / (2 * h), float(np.sqrt((pure + mixed / 8) * vol)) / h ** 2]
     return J[:m], float(big) / (2 * h)
@@ -317,10 +322,10 @@ class DiagnosticsSample:
 FirstOrderSample = namedtuple("FirstOrderSample", "t W J1 V D1")
 
 
-def _diagnose(u, t, m):
-    """One state's diagnosis to order m (9 or 27 stencils) and one squaring
-    pass, summed as ``flow_energy`` and ``speed_squared`` sum them."""
-    J, D1 = _norms(u, m)
+def _diagnose(u, t, m, div_rtol=None):
+    """One state's diagnosis to order m (9 or 27 stencils; div_rtol as in ``_norms``)
+    and one squaring pass, summed as ``flow_energy`` and ``speed_squared`` sum them."""
+    J, D1 = _norms(u, m, div_rtol)
     speed2 = np.square(u.u1.samples)
     W, buf = np.sum(speed2), None
     for c in (u.u2, u.u3):

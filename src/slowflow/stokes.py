@@ -27,6 +27,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided  # writeable=False: a read-only view
 
 from . import fields
 from .convolve import _gauss_panels, convolver, newton_kernel
@@ -68,7 +69,8 @@ class FluidParams:
 
 @dataclass(frozen=True)
 class FlowState:
-    """Immutable velocity/pressure snapshot at time t, diagnosed as deep as it is read."""
+    """Immutable velocity/pressure snapshot at time t, diagnosed as deep as it is read
+    (a solve's t = 0 state views u0, read-only; see ``solve_linearized``)."""
 
     t: float
     u: VectorField3
@@ -91,8 +93,9 @@ class FlowState:
 
     @cached_property
     def first_order(self):
-        """W, J1, V and D1 of u: the diagnostics if taken, else a 9-stencil pass."""
-        return self.__dict__.get("diagnostics") or fields.first_order_diagnostics(self.u, self.t)
+        """W, J1, V and D1: the diagnostics if taken, else u0's pass (t = 0), else 9 stencils."""
+        return (self.__dict__.get("diagnostics") or self.__dict__.get("_first_order")
+                or fields.first_order_diagnostics(self.u, self.t))
 
     def forcing_terms(self, forcing):
         """||X||, sup|X| and the work rate (u, X) of X = forcing.at(t) (zeros for no forcing)
@@ -161,11 +164,12 @@ def heat_propagate(u0, params, t):
     variance 2*nu*t per axis, truncated at 8 widths and rescaled to exact unit
     discrete mass, so its weights are a convex combination (sup and energy
     contract, constants are preserved exactly), applied by ``_heat_apply``
-    (no 3D transform)."""
+    (no 3D transform).  At t = 0 it returns u0's samples as read-only views."""
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0:
-        return VectorField3(*(c.copy() for c in u0.components))
+        return VectorField3(*(ScalarField(c.grid, as_strided(c.samples, writeable=False))
+                              for c in u0.components))
     grid = u0.grid
     # resolution floor: at least one sample inside one kernel standard width
     if np.sqrt(2.0 * params.nu * t) < 0.5 * grid.h:
@@ -297,25 +301,13 @@ def _pressure(X_t, params, newton):
     return ScalarField(X_t.grid, -params.rho * newton(divergence(X_t).samples))
 
 
-def _check_solenoidal(u0):
-    """Reject u0 whose divergence L2 norm exceeds DIV_RTOL times its gradient
-    seminorm J1; the 9 undivided first differences feed both, one at a time."""
-    sq, div, d = 0, 0, None
-    for i, c in enumerate(u0.components):
-        for ax in range(3):
-            d = fields._difference(c.samples, ax, 1, fields._like(c.samples, d))
-            sq += fields._sum_squares(d)
-            if ax == i:
-                div = div + d
-    if sq > 0 and np.sqrt(fields._sum_squares(div)) > DIV_RTOL * np.sqrt(sq):
-        raise ValueError("u0 is not solenoidal within tolerance")
-
-
 def solve_linearized(u0, X, params, times, assume_solenoidal=False):
     """Superpose the diffusive and forced responses at each requested time.
 
     u0 must be (discretely) solenoidal: the L2 norm of its divergence must not
-    exceed DIV_RTOL times its gradient seminorm.
+    exceed DIV_RTOL times its gradient seminorm.  That check's pass is the t = 0
+    state's ``first_order``, its u a read-only view of u0 (do not modify u0 while
+    holding the states); an unforced solve's states share one read-only zero p.
     """
     times = [float(t) for t in times]
     if any(t < 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
@@ -323,19 +315,22 @@ def solve_linearized(u0, X, params, times, assume_solenoidal=False):
     grid = u0.grid
     u0_is_zero = all(not c.samples.any() for c in u0.components)
     if not u0_is_zero:  # a zero field passes trivially
-        _check_solenoidal(u0)
-    newton = (convolver(newton_kernel(grid), grid.n, grid.h)
-              if X is not None and any(times) else None)
-    states = []
+        first = fields._diagnose(u0, 0.0, 1, DIV_RTOL)
+    newton = convolver(newton_kernel(grid), grid.n, grid.h) if X is not None else None
+    states, zero = [], None
     for t in times:
-        u = VectorField3.zeros(grid) if u0_is_zero else heat_propagate(u0, params, t)
-        if X is None or t == 0:
-            states.append(FlowState(t=t, u=u, p=ScalarField.zeros(grid)))
+        u = VectorField3.zeros(grid) if u0_is_zero and t else heat_propagate(u0, params, t)
+        if X is None:
+            zero = zero or ScalarField(grid, as_strided(np.zeros((grid.n,) * 3), writeable=False))
+            states.append(FlowState(t=t, u=u, p=zero))
             continue
         X_t = X.at(t)  # feeds the sliver, the pressure and the state's forcing terms
-        u = u + _duhamel(X, X_t, params, t, None if assume_solenoidal else newton)
+        if t > 0:
+            u = u + _duhamel(X, X_t, params, t, None if assume_solenoidal else newton)
         states.append(FlowState(t=t, u=u, p=_pressure(X_t, params, newton)))
         states[-1]._keep(X, X_t)
+    if times[:1] == [0.0] and not u0_is_zero:
+        states[0].__dict__["_first_order"] = first
     return states
 
 

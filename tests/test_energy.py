@@ -314,24 +314,27 @@ class TestBoundSuiteFirstOrder:
         ser = diagnostics_series(states, None, PAR)
         assert calls == []  # nothing is diagnosed before a column is read
         energy_inequality_check(ser)
-        # per component: the 3 first derivatives, no second-order stencil
-        assert calls == [1] * 9 * len(states)
+        # per component: the 3 first derivatives, no second-order stencil; the
+        # t = 0 state reads the solve's own pass of u0
+        assert calls == [1] * 9 * (len(states) - 1)
         calls.clear()
         bound_suite(u0, states, None, PAR, scaling=False)
         assert calls == []
 
-    def test_unforced_audit_takes_45_stencils_for_4_times(self, count_stencils, grid16):
-        # solve_linearized's solenoidal check takes the 9 first derivatives,
-        # then each state one 9-stencil first-order diagnosis, shared by every check
+    def test_unforced_audit_takes_36_stencils_for_4_times(self, count_stencils, grid16):
+        # solve_linearized's solenoidal check takes the 9 first derivatives and
+        # hands them to the t = 0 state, then each later state takes one
+        # 9-stencil first-order diagnosis, shared by every check
         u0 = solenoidal_gaussian(grid16, width=1.0)
         calls = count_stencils()
         states = solve_linearized(u0, None, PAR, [0.0, 0.1, 0.2, 0.3])
+        assert calls == [1] * 9
         ser = diagnostics_series(states, None, PAR)
         energy_balance_residual(ser, states, None, PAR)
         energy_inequality_check(ser)
         bound_suite(u0, states, None, PAR)
-        assert calls == [1] * (9 + 9 * 4)
-        assert len(calls) == 45
+        assert calls == [1] * (9 + 9 * 3)
+        assert len(calls) == 36
 
     def test_reading_samples_first_takes_27_stencils_then_audits_take_none(
             self, count_stencils, grid16):
@@ -387,8 +390,8 @@ class TestBoundSuiteFirstOrder:
         assert len(sampled) == 2 * len(states)
 
     def test_solved_states_keep_the_solves_forcing_sample(self, count_forcing_samples):
-        # a forced solve's one X(t) per time t > 0 also gives the state its
-        # forcing terms: the audits, given the solver's forcing, sample t = 0 only
+        # a forced solve's one X(t) per time t also gives the state its
+        # forcing terms: the audits, given the solver's forcing, sample nothing
         g, par = make_grid(16, 4.0), FluidParams(0.5, 1.0)
         shape = solenoidal_gaussian(g, width=0.9)
         F = count_forcing_samples(ramped_forcing(
@@ -399,7 +402,7 @@ class TestBoundSuiteFirstOrder:
         ser = diagnostics_series(states, F, par)
         energy_balance_residual(ser, states, F, par)
         bound_suite(None, states, F, par)
-        assert sampled == [0.0]
+        assert sampled == []
         for s in states:
             X = F.at(s.t)
             work = sum(float(np.sum(a.samples * b.samples))

@@ -565,14 +565,15 @@ def test_energy_study_solves_with_the_configured_forcing(tmp_path):
     ("convergence-study", 2, 9, 0), ("verify", 1, 18, 9)])
 def test_each_state_takes_the_stencils_its_command_reads(count_stencils, tmp_path, command,
                                                          grids, first, second):
-    # per grid: the 9 first derivatives of the solenoidal check, then per state
-    # 9 first-order stencils for the energy_balance study, which reads first
-    # order only, or all 27 (18 of them first-order, 9 pure second) for verify,
-    # whose diagnostics.csv reads J2 before its audits reuse that pass
+    # per grid: the 9 first derivatives of the solenoidal check, which are also
+    # the t = 0 state's first-order pass, then per later state 9 first-order
+    # stencils for the energy_balance study, which reads first order only; or
+    # all 27 per state (18 of them first-order, 9 pure second) for verify,
+    # whose diagnostics.csv reads J2 at t = 0 too, before its audits reuse that pass
     calls = count_stencils()
     path = _write_config(tmp_path, dict(ENERGY_STUDY, initial={"generator": "solenoidal_gaussian"}))
     main([command, "--config", str(path), "--out", str(tmp_path / "o")])
-    assert calls.count(1) == grids * (9 + first * 4)
+    assert calls.count(1) == grids * (9 + first * (4 if second else 3))
     assert calls.count(2) == grids * second * 4
 
 

@@ -3,12 +3,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
-from slowflow import (ScalarField, VectorField3, divergence,
-                      flow_energy, make_grid, seminorm_jm, stokes, sup_norm)
+from slowflow import (ScalarField, VectorField3, divergence, first_order_diagnostics,
+                      flow_energy, integrate, make_grid, sample_diagnostics, seminorm_jm, stokes,
+                      sup_norm)
 from slowflow.convolve import (SpectralAccumulator, convolve_direct,
                                convolve_offsets, newton_kernel)
 from slowflow.fieldgen import (gradient_pulse_forcing, ramped_forcing,
-                               solenoidal_gaussian,
+                               random_solenoidal, solenoidal_gaussian,
                                solenoidal_gaussian_laplacian,
                                solenoidal_pulse_forcing)
 from slowflow.stokes import (FLOOR_FACTOR, SQRT_PI, FlowState, FluidParams, ForcingField,
@@ -67,6 +68,9 @@ class TestHeatPropagate:
         u0 = solenoidal_gaussian(grid32, width=1.0)
         u = heat_propagate(u0, PAR, 0.0)
         assert all(np.array_equal(a.samples, b.samples)
+                   for a, b in zip(u.components, u0.components))
+        # u0's own samples, read-only
+        assert all(np.shares_memory(a.samples, b.samples) and not a.samples.flags.writeable
                    for a, b in zip(u.components, u0.components))
 
     def test_gaussian_closed_form(self, grid32):
@@ -519,8 +523,73 @@ class TestSolveLinearized:
         if accepted:
             assert len(solve_linearized(u0, None, PAR, [0.0, 0.5])) == 2
         else:
-            with pytest.raises(ValueError, match="not solenoidal"):
+            with pytest.raises(ValueError, match="^u0 is not solenoidal within tolerance$"):
                 solve_linearized(u0, None, PAR, [0.0, 0.5])
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.15, 0.25, 0.5, 2.0])
+    def test_solenoidal_check_matches_a_separate_pass(self, grid16, alpha):
+        # the verdict of the deleted stand-alone check, from divided derivatives:
+        # ||div u0|| <= DIV_RTOL J1(u0), on a vortex plus alpha times a gradient
+        grad = gradient_pulse_forcing(grid16).at(0.0)
+        u0 = solenoidal_gaussian(grid16, width=1.0) + grad * alpha
+        div = divergence(u0)
+        ratio = np.sqrt(integrate(div, div)) / seminorm_jm(u0, 1)
+        assert abs(ratio / stokes.DIV_RTOL - 1) > 1e-3  # clear of the threshold
+        if ratio <= stokes.DIV_RTOL:
+            assert len(solve_linearized(u0, None, PAR, [0.0, 0.5])) == 2
+        else:
+            with pytest.raises(ValueError, match="^u0 is not solenoidal within tolerance$"):
+                solve_linearized(u0, None, PAR, [0.0, 0.5])
+
+    def test_initial_state_is_a_read_only_view_of_u0(self, count_stencils, grid16):
+        u0 = random_solenoidal(grid16, seed=3)
+        calls = count_stencils()
+        s0 = solve_linearized(u0, None, PAR, [0.0, 0.5])[0]
+        assert len(calls) == 9  # the check, which is also s0's first-order pass
+        for a, b in zip(s0.u.components, u0.components):
+            assert np.shares_memory(a.samples, b.samples)
+            assert not a.samples.flags.writeable and b.samples.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a.samples[0, 0, 0] = 1.0
+        got = s0.first_order
+        assert len(calls) == 9
+        copied = VectorField3(*(ScalarField(grid16, np.array(c.samples, order="C"))
+                                for c in u0.components))
+        want = first_order_diagnostics(copied, 0.0)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert s0.diagnostics == sample_diagnostics(copied, 0.0)
+        assert s0.first_order is not s0.diagnostics  # cached before the full pass
+
+    def test_f_ordered_u0_moves_the_initial_diagnosis_by_round_off(self, grid16):
+        # the t = 0 state keeps u0's layout; only the order of the sums moves
+        u0 = random_solenoidal(grid16, seed=5)
+        uf = VectorField3(*(ScalarField(grid16, np.asfortranarray(c.samples))
+                            for c in u0.components))
+        got = solve_linearized(uf, None, PAR, [0.0])[0].diagnostics
+        want = sample_diagnostics(u0, 0.0)
+        assert (got.V, got.D1) == (want.V, want.D1)
+        assert [got.W, got.J1, got.J2] == pytest.approx([want.W, want.J1, want.J2], rel=1e-14)
+
+    def test_unforced_states_share_one_read_only_zero_pressure(self, grid16):
+        for u0 in (solenoidal_gaussian(grid16, width=1.0), VectorField3.zeros(grid16)):
+            states = solve_linearized(u0, None, PAR, [0.0, 0.25, 0.5])
+            p = states[0].p
+            assert all(s.p is p for s in states) and not p.samples.any()
+            with pytest.raises(ValueError, match="read-only"):
+                p.samples += 1.0
+
+    def test_forced_initial_pressure_is_the_forcings(self, count_forcing_samples):
+        # p(t) = -rho N * div X(t) at t = 0 too, from the one X(0) that also
+        # gives the state its forcing terms
+        g, par = make_grid(24, 4.0), FluidParams(0.25, 1.0)
+        F = count_forcing_samples(gradient_pulse_forcing(g, width=1.0, amplitude=0.5,
+                                                         t_scale=0.5))
+        states = solve_linearized(VectorField3.zeros(g), F, par, [0.0, 0.05, 0.1])
+        assert count_forcing_samples.times.count(0.0) == 1
+        p0 = pressure_field(F.at(0.0), par)
+        assert states[0].p.samples.tobytes() == p0.samples.tobytes()
+        assert sup_norm(p0) > 0
+        assert states[0].forcing_terms(F).norm == np.sqrt(flow_energy(F.at(0.0)))
 
     def test_rejects_bad_times(self, grid32):
         u0 = solenoidal_gaussian(grid32, width=1.0)
