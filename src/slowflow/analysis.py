@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import (SpectralAccumulator, convolve_offsets, dipole_kernels,
-                       inverse_square_weights, offset_lattice)
+from .convolve import (convolve_offsets, convolver, dipole_kernels, inverse_square_weights,
+                       offset_lattice)
 from .fields import ScalarField, derive, integrate
 from .report import make_report
 
@@ -38,10 +38,13 @@ class SequenceProbe:
     field: ScalarField
 
 
-def _check_indices(family):
+def _check_family(family, grid):
+    """Strictly increasing probe indices, every probe on ``grid``."""
     idx = [p.index for p in family]
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise ValueError("probe indices must be strictly increasing")
+    if any(p.field.grid != grid for p in family):
+        raise ValueError("grid mismatch")
 
 
 def schwarz_check(U, V):
@@ -60,7 +63,11 @@ def time_minkowski_check(fields, times):
         raise ValueError("empty time grid")
     if len(fields) != times.size:
         raise ValueError("fields and times must have equal length")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
     grid = fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise ValueError("grid mismatch")
     acc = np.zeros((grid.n,) * 3)
     norms = np.array([np.sqrt(integrate(f, f)) for f in fields])
     for k in range(len(fields) - 1):
@@ -110,10 +117,7 @@ class WeakPairingResult:
 
 
 def weak_pairing_probe(family, A):
-    _check_indices(family)
-    for p in family:
-        if p.field.grid != A.grid:
-            raise ValueError("grid mismatch")
+    _check_family(family, A.grid)
     pairings = [integrate(p.field, A) for p in family]
     norm_squares = [integrate(p.field, p.field) for p in family]
     return WeakPairingResult(pairings, norm_squares)
@@ -127,7 +131,7 @@ def lower_semicontinuity_check(family, U):
     """
     if len(family) < 3:
         raise ValueError("need at least 3 probes")
-    _check_indices(family)
+    _check_family(family, U.grid)
     lhs = integrate(U, U)
     norms = [integrate(p.field, p.field) for p in family]
     tail = norms[len(norms) // 2:] if len(norms) >= 6 else norms[-3:]
@@ -146,10 +150,8 @@ def representation_reconstruct(u):
     if not np.all(np.isfinite(u.samples)):
         raise ValueError("u must be finite")
     grid = u.grid
-    acc = SpectralAccumulator(grid.n, grid.n - 1, grid.h)
-    for axis, K in enumerate(dipole_kernels(grid)):
-        acc.add(acc.field_fft(derive(u, axis + 1).samples), acc.kernel_fft(K))
-    rec = acc.extract()
+    apply = convolver(dipole_kernels(grid), grid.n, grid.h)
+    rec = apply(*(derive(u, ax).samples for ax in (1, 2, 3)))
     rec_field = ScalarField(grid, rec)
     num = np.sqrt(np.sum((rec - u.samples) ** 2))
     den = np.sqrt(np.sum(u.samples ** 2))

@@ -3,9 +3,9 @@
 A kernel is sampled at lattice offsets z = k*h, |k| <= R per axis (odd-shaped
 array, center = offset 0) or, if even or odd along each axis, as the
 ``Octant`` of offsets 0..R.  The convolution out(x) = h^3 * sum_y K(x - y) U(y)
-treats U as zero outside the box.  One engine, ``SpectralAccumulator``, serves
-every padded convolution; ``convolver`` transforms a kernel once for many
-fields, and a direct-sum path exists for oracle comparisons on small grids.
+treats U as zero outside the box.  ``convolver`` is the one entry point: it
+transforms one kernel, or several of one radius, once for many fields, and
+its engine ``SpectralAccumulator`` sums their products before one inverse.
 
 Free-space padding (Hockney & Eastwood): a kernel centred in a cyclic box
 (offset m at index m mod P) gives the linear result on the window [0, n) once
@@ -73,15 +73,20 @@ def _crop_to_box(kernel, n):
     return kernel[inner, inner, inner], min(R, n - 1)
 
 
-def convolver(kernel, n, h):
-    """f -> h^3 * K * f for fields on an n^3 grid, with the kernel cropped and
-    transformed once for every call."""
-    kernel, R = _crop_to_box(kernel, n)
-    kernel_fft = SpectralAccumulator(n, R, h).kernel_fft(kernel)
+def convolver(kernels, n, h):
+    """(f_1, ..., f_k) -> h^3 * sum_i K_i * f_i for fields on an n^3 grid, with
+    one inverse transform per call.  ``kernels`` is one kernel or a list of
+    kernels of one radius, each cropped and transformed once for every call."""
+    kernels = kernels if isinstance(kernels, list) else [kernels]  # an Octant is a tuple
+    cropped = [_crop_to_box(K, n) for K in kernels]
+    R = cropped[0][1]
+    acc = SpectralAccumulator(n, R, h)
+    spectra = [acc.kernel_fft(K) for K, _ in cropped]  # its shape check rejects mixed radii
 
-    def apply(samples):
+    def apply(*fields):
         acc = SpectralAccumulator(n, R, h)
-        acc.add(acc.field_fft(samples), kernel_fft)
+        for samples, T in zip(fields, spectra, strict=True):
+            acc.add(acc.field_fft(samples), T)
         return acc.extract()
     return apply
 
@@ -182,21 +187,6 @@ def offset_lattice(kernel):
     if kernel.odd_axis is not None:
         K.swapaxes(0, kernel.odd_axis)[:len(k) // 2] *= -1
     return K
-
-
-def convolve_direct(samples, kernel, h):
-    """Direct-sum reference convolution (small grids / small kernels only)."""
-    n = samples.shape[0]
-    kernel, R = _crop_to_box(offset_lattice(kernel), n)
-    out = np.zeros_like(samples)
-    for di, dj, dk in product(range(-R, R + 1), repeat=3):
-        w = kernel[di + R, dj + R, dk + R]
-        if w == 0.0:
-            continue
-        src = tuple(slice(max(0, -d), min(n, n - d)) for d in (di, dj, dk))
-        dst = tuple(slice(max(0, d), min(n, n + d)) for d in (di, dj, dk))
-        out[dst] += w * samples[src]
-    return out * h ** 3
 
 
 @lru_cache(maxsize=None)

@@ -101,9 +101,6 @@ class ScalarField:
     def zeros(cls, grid):
         return cls(grid, np.zeros((grid.n,) * 3))
 
-    def copy(self):
-        return ScalarField(self.grid, self.samples.copy())
-
     def __add__(self, other):
         _check_same_grid(self, other)
         return ScalarField(self.grid, self.samples + other.samples)

@@ -11,11 +11,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .convolve import _gauss_panels, convolve_direct, convolve_offsets
+from .convolve import _gauss_panels, convolve_offsets
 from .fields import ScalarField
 
 __all__ = ["MollifierKernel", "make_kernel", "mollify", "mollify_derivative",
-           "kernel_on_grid", "kernel_grid_mass", "mollify_direct"]
+           "kernel_on_grid", "kernel_grid_mass"]
 
 
 @dataclass(frozen=True)
@@ -102,12 +102,6 @@ def mollify(U, k):
     """Convolution of U with the kernel (U taken as 0 outside the box)."""
     _check_resolved(U, k)
     return ScalarField(U.grid, convolve_offsets(U.samples, kernel_on_grid(k, U.grid), U.grid.h))
-
-
-def mollify_direct(U, k):
-    """Direct-sum reference path (oracle for the padded route; small grids)."""
-    _check_resolved(U, k)
-    return ScalarField(U.grid, convolve_direct(U.samples, kernel_on_grid(k, U.grid), U.grid.h))
 
 
 def mollify_derivative(U, k, multi_index):

@@ -37,7 +37,7 @@ from .report import make_report
 __all__ = [
     "FluidParams", "FlowState", "ForcingField",
     "heat_propagate",
-    "oseen_tensor_eval", "oseen_decay_constant",
+    "oseen_tensor_eval",
     "forced_response", "pressure_field", "solve_linearized", "residual_check",
 ]
 
@@ -120,11 +120,6 @@ class ForcingField:
     def __init__(self, grid, sampler: Callable[[float], VectorField3]):
         self.grid = grid
         self._sampler = sampler
-
-    @classmethod
-    def zero(cls, grid):
-        z = VectorField3.zeros(grid)
-        return cls(grid, lambda t: z)
 
     def at(self, t):
         X = self._sampler(float(t))
@@ -219,17 +214,6 @@ def oseen_tensor_eval(dx, tau, params):
     f1, f2 = _oseen_profiles(r, params.nu * tau)
     zhat = dx / r
     return np.eye(3) * float(f1) + np.outer(zhat, zhat) * float(f2)
-
-
-def oseen_decay_constant(displacements, taus, params):
-    """Empirical A in |T_ij| < A / (r^2 + nu tau)^{3/2} over an evaluation batch."""
-    best = 0.0
-    for dx in displacements:
-        for tau in taus:
-            T = oseen_tensor_eval(dx, tau, params)
-            r2 = float(np.sum(np.asarray(dx, float) ** 2))
-            best = max(best, float(np.abs(T).max()) * (r2 + params.nu * tau) ** 1.5)
-    return best
 
 
 def _duhamel_rule(t, h, nu):

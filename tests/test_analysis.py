@@ -68,6 +68,20 @@ class TestTimeMinkowski:
         with pytest.raises(ValueError, match="empty"):
             time_minkowski_check([], [])
 
+    def test_mixed_grids_rejected(self, grid16):
+        # same n, other L: the samples would add, the cell volumes differ
+        f = gaussian_bump(grid16, width=0.8)
+        g = gaussian_bump(make_grid(16, 5.0), width=0.8)
+        with pytest.raises(ValueError, match="grid mismatch"):
+            time_minkowski_check([f, g], [0.0, 1.0])
+
+    @pytest.mark.parametrize("times", [[1.0, 0.0], [0.0, 0.5, 0.5]])
+    def test_times_must_strictly_increase(self, grid16, times):
+        # [1, 0] would read lhs = ||f|| against rhs = -||f||, a false FAIL
+        f = gaussian_bump(grid16, width=0.8)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            time_minkowski_check([f] * len(times), times)
+
 
 class TestConvolutionBound:
     def test_mollifier_kernel_contracts(self, grid32, gauss32):
@@ -189,6 +203,13 @@ class TestLowerSemicontinuity:
         U = gaussian_bump(grid16, width=0.8)
         with pytest.raises(ValueError, match="3"):
             lower_semicontinuity_check([SequenceProbe("x", 1, U)], U)
+
+    def test_grid_mismatch_rejected(self, grid16):
+        U = gaussian_bump(grid16, width=0.8)
+        V = gaussian_bump(make_grid(16, 5.0), width=0.8)
+        fam = [SequenceProbe("id", n, V) for n in (1, 2, 3)]
+        with pytest.raises(ValueError, match="grid mismatch"):
+            lower_semicontinuity_check(fam, U)
 
 
 class TestRepresentation:

@@ -13,14 +13,16 @@ import scipy.fft as sfft
 
 from slowflow import ScalarField, VectorField3, convolve, derive, make_grid, mollifier
 from slowflow.analysis import convolution_bound_check, representation_reconstruct
-from slowflow.convolve import (Octant, SpectralAccumulator, convolve_direct,
-                               convolve_offsets, convolver, dipole_kernels,
+from slowflow.convolve import (Octant, SpectralAccumulator, convolve_offsets,
+                               convolver, dipole_kernels,
                                gauss_legendre_cell_average,
                                inverse_square_weights, newton_kernel,
                                offset_lattice)
 from slowflow.fieldgen import gaussian_bump, gradient_pulse_forcing
 from slowflow.mollifier import make_kernel, mollify, mollify_derivative
 from slowflow.stokes import FluidParams, solve_linearized
+
+from oracles import convolve_direct
 
 
 def test_fft_matches_direct_sum(rng):
@@ -124,6 +126,58 @@ def test_repeated_applies_leave_the_kernel_transform_intact(rng, monkeypatch):
     assert [odd for odd, _ in kept[0]] == [odd for odd, _ in pristine]
     for (_, T), (_, T0) in zip(kept[0], pristine):
         np.testing.assert_array_equal(T, T0)
+
+
+def test_several_kernels_in_one_convolver_sum_their_convolutions(rng, full_lattice):
+    # the three dipoles of representation_reconstruct, each on its own field
+    g = make_grid(8, 2.0)
+    Ks = dipole_kernels(g)
+    fields = [rng.standard_normal((8,) * 3) for _ in Ks]
+    got = convolver(Ks, g.n, g.h)(*fields)
+    singles = sum(convolver(K, g.n, g.h)(f) for K, f in zip(Ks, fields))
+    ref = sum(convolve_direct(f, full_lattice(K), g.h) for K, f in zip(Ks, fields))
+    np.testing.assert_allclose(got, singles, rtol=0, atol=1e-14 * np.abs(singles).max())
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def test_a_one_kernel_convolver_is_one_accumulator_pass(rng):
+    # bit for bit the single-kernel engine: crop, one kernel and one field
+    # transform, one add, one extract; a list of one kernel is the same call
+    g = make_grid(16, 4.0)
+    field = rng.standard_normal((16,) * 3)
+    for K in (newton_kernel(g), rng.standard_normal((9, 9, 9)), rng.standard_normal((41,) * 3)):
+        cropped, R = convolve._crop_to_box(K, g.n)
+        acc = SpectralAccumulator(g.n, R, g.h)
+        acc.add(acc.field_fft(field), acc.kernel_fft(cropped))
+        want = acc.extract()
+        np.testing.assert_array_equal(convolver(K, g.n, g.h)(field), want)
+        np.testing.assert_array_equal(convolver([K], g.n, g.h)(field), want)
+
+
+def test_convolver_rejects_a_wrong_field_count_and_mixed_radii(rng):
+    g = make_grid(8, 2.0)
+    field = rng.standard_normal((8,) * 3)
+    one, three = convolver(newton_kernel(g), g.n, g.h), convolver(dipole_kernels(g), g.n, g.h)
+    for apply, fields in ((one, ()), (one, (field, field)), (three, (field, field)),
+                          (three, (field,) * 4)):
+        with pytest.raises(ValueError):
+            apply(*fields)
+    N = newton_kernel(g)
+    with pytest.raises(ValueError, match="does not match radius"):
+        convolver([N, Octant(N.samples[:4, :4, :4])], g.n, g.h)
+    with pytest.raises(ValueError, match="does not match radius"):
+        convolver([rng.standard_normal((5,) * 3), rng.standard_normal((7,) * 3)], g.n, g.h)
+
+
+def test_representation_transforms_each_operand_once_and_inverts_once(monkeypatch):
+    calls = {"kernel_fft": 0, "field_fft": 0, "extract": 0}
+    for name in calls:
+        def counting(self, *args, _name=name, _orig=getattr(SpectralAccumulator, name)):
+            calls[_name] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(SpectralAccumulator, name, counting)
+    representation_reconstruct(gaussian_bump(make_grid(16, 4.0), width=1.0))
+    assert calls == {"kernel_fft": 3, "field_fft": 3, "extract": 1}
 
 
 @pytest.mark.parametrize("shape", [(7, 7, 5), (6, 6, 6), (7, 7), (7, 7, 7, 1)])
@@ -364,6 +418,7 @@ NO_SCIPY = textwrap.dedent("""
     import numpy as np
 
     import slowflow.cli
+    from oracles import convolve_direct
     from slowflow import convolve
 
     tmp, seen = Path(sys.argv[1]), {}
@@ -379,15 +434,15 @@ NO_SCIPY = textwrap.dedent("""
     rng = np.random.default_rng(3)
     u, K = rng.standard_normal((8, 8, 8)), rng.standard_normal((5, 5, 5))
     seen["oracle"] = bool(np.allclose(convolve.convolve_offsets(u, K, 0.3),
-                                      convolve.convolve_direct(u, K, 0.3), rtol=1e-12, atol=1e-12))
+                                      convolve_direct(u, K, 0.3), rtol=1e-12, atol=1e-12))
     print(json.dumps(seen))
 """)
 
 
 def test_no_command_imports_scipy(tmp_path):
-    src = str(Path(convolve.__file__).parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    src, tests = str(Path(convolve.__file__).parents[1]), str(Path(__file__).parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, tests, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-W", "error", "-c", NO_SCIPY, str(tmp_path)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

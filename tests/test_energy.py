@@ -287,7 +287,8 @@ class TestBoundSuiteFirstOrder:
 
     def test_zero_forcing_matches_full_series(self, grid16):
         u0, states = _heat_states(grid16, seed=5, times=(0.0, 0.1, 0.3))
-        F = ForcingField.zero(grid16)
+        zero = VectorField3.zeros(grid16)
+        F = ForcingField(grid16, lambda t: zero)
         got = bound_suite(u0, states, F, PAR)
         assert [vars(r) for r in got] == [vars(r) for r in _bound_suite_oracle(states, F, PAR, False)]
 

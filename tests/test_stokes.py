@@ -6,19 +6,24 @@ from scipy.special import erf
 from slowflow import (ScalarField, VectorField3, divergence, first_order_diagnostics,
                       flow_energy, integrate, make_grid, sample_diagnostics, seminorm_jm, stokes,
                       sup_norm)
-from slowflow.convolve import (SpectralAccumulator, convolve_direct,
-                               convolve_offsets, newton_kernel)
+from slowflow.convolve import SpectralAccumulator, convolve_offsets, newton_kernel
 from slowflow.fieldgen import (gradient_pulse_forcing, ramped_forcing,
                                random_solenoidal, solenoidal_gaussian,
                                solenoidal_gaussian_laplacian,
                                solenoidal_pulse_forcing)
 from slowflow.stokes import (FLOOR_FACTOR, SQRT_PI, FlowState, FluidParams, ForcingField,
                              _duhamel_rule, _erf, _heat_apply, _heat_factor,
-                             forced_response, heat_propagate,
-                             oseen_decay_constant, oseen_tensor_eval,
+                             forced_response, heat_propagate, oseen_tensor_eval,
                              pressure_field, residual_check, solve_linearized)
 
+from oracles import convolve_direct
+
 PAR = FluidParams(1.0, 1.0)
+
+
+def _zero_forcing(grid):
+    zero = VectorField3.zeros(grid)
+    return ForcingField(grid, lambda t: zero)
 
 
 def _phi_from_quadrature(r, nu_tau):
@@ -188,8 +193,10 @@ class TestOseenTensor:
         assert slope == pytest.approx(-3.0, abs=0.2)
 
     def test_decay_bound_constant_finite(self):
-        disps = [[r, 0.3, -0.2] for r in (0.2, 0.5, 1.0, 3.0)]
-        A = oseen_decay_constant(disps, [0.05, 0.3, 1.0], PAR)
+        # the empirical A in |T_ij| < A / (r^2 + nu tau)^{3/2} over a batch
+        disps = [np.array([r, 0.3, -0.2]) for r in (0.2, 0.5, 1.0, 3.0)]
+        A = max(np.abs(oseen_tensor_eval(dx, tau, PAR)).max() * (dx @ dx + PAR.nu * tau) ** 1.5
+                for dx in disps for tau in (0.05, 0.3, 1.0))
         assert np.isfinite(A) and A > 0
 
     def test_erf_is_within_two_ulp_of_scipy_special(self):
@@ -257,18 +264,18 @@ class TestOseenTensor:
 
 class TestForcedResponse:
     def test_zero_forcing_gives_zero(self, grid16):
-        u = forced_response(ForcingField.zero(grid16), PAR, 0.5)
+        u = forced_response(_zero_forcing(grid16), PAR, 0.5)
         assert sup_norm(u) < 1e-14
 
     def test_requires_forcing_and_positive_time(self, grid16):
         with pytest.raises(ValueError, match="empty forcing"):
             forced_response(None, PAR, 0.5)
         with pytest.raises(ValueError, match="t must be > 0"):
-            forced_response(ForcingField.zero(grid16), PAR, 0.0)
+            forced_response(_zero_forcing(grid16), PAR, 0.0)
 
     def test_below_floor_rejected(self, grid16):
         with pytest.raises(ValueError, match="under-resolved"):
-            forced_response(ForcingField.zero(grid16), PAR, 1e-6)
+            forced_response(_zero_forcing(grid16), PAR, 1e-6)
 
     def test_small_time_identity_action(self):
         g = make_grid(24, 4.0)
