@@ -5,9 +5,10 @@ Each reads a JSON config checked against ``SCHEMA``, one type table and key set
 for every subcommand (unknown keys and generator params are errors), runs a
 fixed pipeline, and writes LERF fields, a diagnostics CSV, and a report JSON
 into the output directory.  Exit status: 0 all checks pass, 1 a check failed
-(reports are still written), 2 a config error ("config error: ...") or a
-solver ValueError such as an under-resolved time ("error: ..."), with neither
-a traceback nor an output directory: each command makes it at its first write.
+(reports are still written), 2 a config error ("config error: ...", NaN and
+Infinity included) or a solver ValueError or OverflowError, such as an
+under-resolved or overflowing time ("error: ..."), with neither a traceback nor
+an output directory: each command makes it at its first write.
 """
 
 import argparse
@@ -68,6 +69,9 @@ def _value(value, typ, name):
         return [_value(v, typ[0], f"{name}[{i}]") for i, v in enumerate(value)]
     _require(type(value) is typ or (typ is float and type(value) is int),
              f"{name} must be {_TYPE_NAMES[typ]}, got {value!r}")
+    # NaN, Infinity (json.load accepts both) and an integer beyond float range
+    _require(typ is not float or abs(value) <= sys.float_info.max,
+             f"{name} must be a finite number, got {value!r}")
     return float(value) if typ is float else value
 
 
@@ -372,7 +376,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # the solve raises before any write
         print(f"error: {e}", file=sys.stderr)
         return 2
     for r in reports:

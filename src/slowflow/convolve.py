@@ -9,7 +9,8 @@ its engine ``SpectralAccumulator`` sums their products before one inverse.
 
 Free-space padding (Hockney & Eastwood): a kernel centred in a cyclic box
 (offset m at index m mod P) gives the linear result on the window [0, n) once
-P >= n + R, and P is the smallest even fast length >= n + R.  Every transform
+P >= n + R; P is the smallest even such size (DCT-I and DST-I parts need an
+even period, and a matrix transform costs more as P grows).  Every transform
 is a dense real matrix applied by ``matmul`` (BLAS): along an axis, the P cos
 and sin rows of the DFT of a line zero-padded from n to P, and the n x P
 inverse on the window.  A kernel part even or odd along each axis has the real
@@ -25,7 +26,7 @@ computed once by quadrature) and by midpoint values elsewhere.
 
 from collections import namedtuple
 from functools import lru_cache, reduce
-from itertools import count, product
+from itertools import product
 
 import numpy as np
 
@@ -43,16 +44,6 @@ NEAR = 3
 def fft_workers():
     """1, for the benchmark's record: convolutions run on BLAS threads, set outside slowflow."""
     return 1
-
-
-def _fast_len(m):
-    """The smallest 2,3,5,7,11-smooth integer >= m (scipy.fft.next_fast_len's rule)."""
-    def rough(k):
-        for p in (2, 3, 5, 7, 11):
-            while k % p == 0:
-                k //= p
-        return k
-    return next(k for k in count(m) if rough(k) == 1)
 
 
 # A kernel even along every axis but odd_axis (odd there; None: even in all),
@@ -100,11 +91,11 @@ class SpectralAccumulator:
     """Accumulate sums of kernel convolutions in the spectral domain.
 
     All kernels must share one offset radius R; transforms are padded to the
-    even P >= n + R of the module docstring, and the inverse runs once."""
+    smallest even P >= n + R, and the inverse runs once."""
 
     def __init__(self, n, radius_cells, h):
         self.n, self.R, self.h = n, int(radius_cells), h
-        self.P = 2 * _fast_len((n + self.R + 1) // 2)
+        self.P = n + self.R + (n + self.R) % 2
         self._acc = None
 
     def field_fft(self, samples):

@@ -2,7 +2,7 @@
 bound suite (monotone decay, scaling exponents, forced-response ratios), and
 the Hölder-modulus probe."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class DiagnosticsSeries:
 
     states: list
     forcing_norms: list
-    metadata: dict = field(default_factory=dict)
 
     @property
     def samples(self):
@@ -58,14 +57,10 @@ def _check_states(states):
 
 
 def diagnostics_series(states, forcing=None, params=None):
-    """Per-state W, J1, J2, V, D1 (taken when read) plus the forcing L2 norm at each time."""
-    grid = _check_states(states)
-    fnorms = [s.forcing_terms(forcing).norm for s in states]
-    md = {"grid_n": grid.n, "grid_L": grid.L}
-    if params is not None:
-        md["nu"] = params.nu
-        md["rho"] = params.rho
-    return DiagnosticsSeries(list(states), fnorms, md)
+    """Per-state W, J1, J2, V, D1 (taken when read) plus the forcing L2 norm at
+    each time; ``params`` is unused."""
+    _check_states(states)
+    return DiagnosticsSeries(list(states), [s.forcing_terms(forcing).norm for s in states])
 
 
 def energy_balance_residual(series, states, forcing, params, rel_tol=0.02):
@@ -121,10 +116,12 @@ def abel_integral(times, values, power, nu):
     Piecewise-linear values; the weakly singular moments are integrated in
     closed form on each subinterval.
     """
+    p = float(power)
+    if not p < 1.0:
+        raise ValueError(f"power must be < 1 (the integral diverges), got {power}")
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     t = times[-1]
-    p = float(power)
     total = 0.0
     for a, b, fa, fb in zip(times[:-1], times[1:], values[:-1], values[1:]):
         # substitute s = t - t' in [t-b, t-a]; f(t') = C - slope*s

@@ -304,18 +304,7 @@ def sup_derivative(u, m=1):
     return best
 
 
-@dataclass(frozen=True)
-class DiagnosticsSample:
-    """One time slice of the flow diagnostics W, J1, J2, V, D1 (all >= 0)."""
-
-    t: float
-    W: float
-    J1: float
-    J2: float
-    V: float
-    D1: float
-
-
+DiagnosticsSample = namedtuple("DiagnosticsSample", "t W J1 J2 V D1")  # all but t >= 0
 FirstOrderSample = namedtuple("FirstOrderSample", "t W J1 V D1")
 
 

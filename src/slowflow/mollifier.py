@@ -34,8 +34,7 @@ class MollifierKernel:
         out = np.zeros_like(s)
         inside = s < 1.0
         d = s[inside] - 1.0
-        with np.errstate(divide="ignore"):
-            lam = self.normalization * np.exp(1.0 / d)
+        lam = self.normalization * np.exp(1.0 / d)
         if order == 1:
             lam = -lam / d ** 2
         elif order == 2:

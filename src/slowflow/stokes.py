@@ -77,8 +77,8 @@ class FlowState:
     p: ScalarField
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
+        if not 0 <= self.t < np.inf:
+            raise ValueError(f"t must be >= 0 and finite, got {self.t}")
         if self.u.grid != self.p.grid:
             raise ValueError("velocity and pressure must share one grid")
 
@@ -160,8 +160,8 @@ def heat_propagate(u0, params, t):
     discrete mass, so its weights are a convex combination (sup and energy
     contract, constants are preserved exactly), applied by ``_heat_apply``
     (no 3D transform).  At t = 0 it returns u0's samples as read-only views."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
     if t == 0:
         return VectorField3(*(ScalarField(c.grid, as_strided(c.samples, writeable=False))
                               for c in u0.components))
@@ -245,8 +245,8 @@ def forced_response(X, params, t, assume_solenoidal=False):
     """
     if X is None:
         raise ValueError("empty forcing")
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    if not 0 < t < np.inf:
+        raise ValueError(f"t must be > 0 and finite, got {t}")
     g = X.grid
     return _duhamel(X, X.at(t), params, t,
                     None if assume_solenoidal else convolver(newton_kernel(g), g.n, g.h))
@@ -294,8 +294,8 @@ def solve_linearized(u0, X, params, times, assume_solenoidal=False):
     holding the states); an unforced solve's states share one read-only zero p.
     """
     times = [float(t) for t in times]
-    if any(t < 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("times must be strictly increasing and >= 0")
+    if not all(0 <= t < np.inf for t in times) or any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("times must be strictly increasing and >= 0, and finite")
     grid = u0.grid
     u0_is_zero = all(not c.samples.any() for c in u0.components)
     if not u0_is_zero:  # a zero field passes trivially

@@ -88,10 +88,11 @@ def _full_box_convolution(samples, kernel, h):
     return out[keep, keep, keep] * h ** 3
 
 
-@pytest.mark.parametrize("n, radius", [(8, 7), (16, 4), (24, 23)])
+@pytest.mark.parametrize("n, radius", [(8, 7), (16, 4), (24, 23), (16, 9), (24, 9)])
 def test_pruned_transforms_match_the_full_box_path(rng, n, radius):
-    # the engine pads to P = 16, 20 and 48 and keeps [0, n) of a centred
-    # kernel; the oracle pads to 15 (odd), 20 and 48 and keeps [R, R + n)
+    # the engine pads to P = 16, 20, 48, 26 and 34 (not smooth) and keeps
+    # [0, n) of a centred kernel; the oracle pads to 15 (odd), 20, 48, 25 and
+    # 33 and keeps [R, R + n)
     field = rng.standard_normal((n,) * 3)
     kernel = rng.standard_normal((2 * radius + 1,) * 3)
     a = convolve_offsets(field, kernel, 0.25)
@@ -201,14 +202,16 @@ def test_accumulator_rejects_a_kernel_of_another_shape(rng):
         acc.kernel_fft(rng.standard_normal((7, 7, 5)))
 
 
-@pytest.mark.parametrize("n, radius", [(24, 23), (24, 5), (40, 1), (64, 63), (8, 7), (14, 13)])
+@pytest.mark.parametrize("n, radius", [(24, 23), (24, 5), (40, 1), (64, 63), (8, 7), (14, 13),
+                                       (16, 9), (24, 9), (26, 25), (64, 9)])
 def test_accumulator_pads_tightly(n, radius):
-    # the smallest even fast length >= n + R: DCT-I needs an even period, so
-    # the odd bounds n + R = 15 and 27 pad to 16 and 28
+    # the smallest even size >= n + R: DCT-I needs an even period, so the odd
+    # bounds n + R = 15 and 27 pad to 16 and 28; no smoother size is sought,
+    # so 25, 33, 51 and 73 pad to 26, 34, 52 and 74 (not 28, 36, 54 and 80)
     P = SpectralAccumulator(n, radius, 0.1).P
-    assert P == 2 * sfft.next_fast_len((n + radius + 1) // 2)
+    assert P == n + radius + (n + radius) % 2
     assert P % 2 == 0 and P >= n + radius
-    assert all(sfft.next_fast_len(m) != m for m in range(n + radius, P) if m % 2 == 0)
+    assert not any(m % 2 == 0 for m in range(n + radius, P))
 
 
 def test_cell_average_exact_for_polynomials():
@@ -452,7 +455,3 @@ def test_no_command_imports_scipy(tmp_path):
     assert seen["scipy"] == []
     assert seen["oracle"]
 
-
-def test_fast_len_is_scipys_next_fast_len():
-    assert [convolve._fast_len(m) for m in range(1, 4097)] == \
-        [sfft.next_fast_len(m) for m in range(1, 4097)]

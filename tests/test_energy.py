@@ -170,6 +170,13 @@ class TestAbelIntegral:
         got = abel_integral(t, np.ones_like(t), 0.75, 1.0)
         assert got == pytest.approx(4 * 0.5 ** 0.25, rel=1e-12)
 
+    @pytest.mark.parametrize("power", [1.0, 1.5])
+    def test_divergent_power_rejected(self, power):
+        # int_0^t (t-s)^{-p} ds diverges for p >= 1: no nan or inf, no warning
+        t = np.linspace(0.0, 0.5, 6)
+        with pytest.raises(ValueError, match="power must be < 1"):
+            abel_integral(t, np.ones_like(t), power, 1.0)
+
 
 class TestFitSlope:
     def test_exact_power(self):

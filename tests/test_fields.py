@@ -352,7 +352,7 @@ class TestDerivativePass:
                   "sample_diagnostics; rng = np.random.default_rng(0); "
                   "u = VectorField3.from_arrays(make_grid(40, 3.0), *(rng.standard_normal("
                   "(40,) * 3) * 10.0 ** rng.uniform(-6, 6, (40,) * 3) for _ in range(3))); "
-                  "print([float(x).hex() for x in vars(sample_diagnostics(u, 0.0)).values()])")
+                  "print([float(x).hex() for x in sample_diagnostics(u, 0.0)])")
         src = str(Path(fields.__file__).parents[1])
         outs = []
         for threads in ("1", "2"):

@@ -373,19 +373,39 @@ def test_override_on_malformed_config_is_a_config_error(tmp_path, capsys, raw, f
     ("convergence-study", {"grids": [24, 16]}, "grids"),
     ("convergence-study", {"grids": [16, 16]}, "grids"),
     ("mollify-study", {"epsilons": [2.0, 2.0, 1.5]}, "epsilons"),
+    # json.load reads NaN and Infinity; the schema takes only finite numbers
+    ("solve", {"grid": {"n": 16, "L": float("inf")}}, "grid.L must be a finite number"),
+    ("verify", {"times": {"end": float("inf")}}, "times.end must be a finite number"),
+    ("solve", {"params": {"nu": float("nan")}}, "params.nu must be a finite number"),
+    ("mollify-study", {"epsilons": [float("nan"), 1.0]}, "epsilons[0] must be a finite number"),
+    ("mollify-study", {"field_width": float("-inf")}, "field_width must be a finite number"),
+    ("solve", {"initial": {"params": {"amplitude": float("nan")}}},
+     "initial.params.amplitude must be a finite number"),
+    ("solve", {"params": {"nu": 10 ** 400}}, "params.nu must be a finite number"),
 ], ids=["fractional-count", "fractional-grids", "bool-epsilon", "string-L", "string-nu",
         "bool-nu", "null-rho", "null-start", "string-end", "null-field-width",
         "int-output", "null-output", "list-generator", "null-param", "string-width",
         "string-t-scale", "unknown-param", "fractional-seed", "string-seed",
         "no-epsilons", "one-epsilon", "zero-field-width", "under-resolved-epsilon",
         "one-time-negative-control", "two-time-energy-balance", "two-time-energy-study",
-        "decreasing-grids", "repeated-grids", "repeated-epsilon"])
+        "decreasing-grids", "repeated-grids", "repeated-epsilon", "infinite-L", "infinite-end",
+        "nan-nu", "nan-epsilon", "infinite-field-width", "nan-amplitude", "integer-beyond-float"])
 def test_config_numbers_are_not_truncated_or_coerced(tmp_path, capsys, command, extra, field):
     path = _write_config(tmp_path, extra)
     code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_time_is_a_solver_error(tmp_path, capsys):
+    # a finite end time whose heat-kernel width 2 nu t overflows: the solve
+    # raises OverflowError before any write
+    path = _write_config(tmp_path, {"grid": {"n": 8, "L": 2.0}, "times": {"end": 1e308}})
+    code = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "o").exists()
 
 

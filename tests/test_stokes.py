@@ -105,6 +105,11 @@ class TestHeatPropagate:
         with pytest.raises(ValueError, match="t must be >= 0"):
             heat_propagate(u0, PAR, -0.1)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, grid16, t):
+        with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+            heat_propagate(solenoidal_gaussian(grid16, width=1.0), PAR, t)
+
     @pytest.mark.parametrize("t", [0.1, 0.25, 6.0])  # 6.0 clips the radius at n-1
     def test_separable_path_matches_3d_convolution(self, grid16, t):
         u0 = solenoidal_gaussian(grid16, width=1.0)
@@ -270,8 +275,9 @@ class TestForcedResponse:
     def test_requires_forcing_and_positive_time(self, grid16):
         with pytest.raises(ValueError, match="empty forcing"):
             forced_response(None, PAR, 0.5)
-        with pytest.raises(ValueError, match="t must be > 0"):
-            forced_response(_zero_forcing(grid16), PAR, 0.0)
+        for t in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="t must be > 0"):
+                forced_response(_zero_forcing(grid16), PAR, t)
 
     def test_below_floor_rejected(self, grid16):
         with pytest.raises(ValueError, match="under-resolved"):
@@ -468,6 +474,11 @@ class TestFlowState:
         with pytest.raises(ValueError, match="t must be >= 0"):
             FlowState(-0.1, VectorField3.zeros(grid16), ScalarField.zeros(grid16))
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_rejects_non_finite_time(self, grid16, t):
+        with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+            FlowState(t, VectorField3.zeros(grid16), ScalarField.zeros(grid16))
+
     def test_rejects_pressure_on_another_grid(self, grid16):
         with pytest.raises(ValueError, match="share one grid"):
             FlowState(0.0, VectorField3.zeros(grid16), ScalarField.zeros(make_grid(16, 8.0)))
@@ -604,6 +615,12 @@ class TestSolveLinearized:
             solve_linearized(u0, None, PAR, [0.5, 0.2])
         with pytest.raises(ValueError, match="times"):
             solve_linearized(u0, None, PAR, [-0.1, 0.2])
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_rejects_non_finite_times(self, grid16, t):
+        u0 = solenoidal_gaussian(grid16, width=1.0)
+        with pytest.raises(ValueError, match="times must be strictly increasing and >= 0, and finite"):
+            solve_linearized(u0, None, PAR, [0.0, t])
 
     def test_superposition_linearity(self):
         g = make_grid(20, 4.0)
