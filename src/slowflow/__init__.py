@@ -13,7 +13,7 @@ from .energy import (DiagnosticsSeries, bound_suite, continuity_probe,
 from .fields import (DiagnosticsSample, FirstOrderSample, Grid3, ScalarField,
                      VectorField3, derive, divergence, first_order_diagnostics,
                      flow_energy, integrate, make_grid, sample_diagnostics,
-                     seminorm_jm, sup_derivative, sup_norm)
+                     sup_norm)
 from .lerf import read_field, write_field
 from .mollifier import (MollifierKernel, make_kernel, mollify,
                         mollify_derivative)

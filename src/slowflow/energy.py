@@ -121,6 +121,8 @@ def abel_integral(times, values, power, nu):
         raise ValueError(f"power must be < 1 (the integral diverges), got {power}")
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
+    if not np.all(times[1:] > times[:-1]):
+        raise ValueError("times must be strictly increasing")
     t = times[-1]
     total = 0.0
     for a, b, fa, fb in zip(times[:-1], times[1:], values[:-1], values[1:]):

@@ -21,7 +21,9 @@ __all__ = [
 
 
 def _gaussian(grid, width, center, amplitude):
-    """Sparse offsets d = x - c and g = a exp(-|d|^2 / (2 w^2)), in one n^3 array."""
+    """Sparse offsets d = x - c and g = a exp(-|d|^2 / (2 w^2)), in one n^3 array (w > 0)."""
+    if not width > 0:
+        raise ValueError(f"width must be > 0, got {width}")
     d = [X - c for X, c in zip(grid.meshgrid(sparse=True), center)]
     g = d[0] ** 2 + d[1] ** 2 + d[2] ** 2
     np.exp(np.divide(np.negative(g, out=g), 2.0 * width * width, out=g), out=g)
@@ -66,16 +68,14 @@ def _curl_gaussian_arrays(grid, width, center, axis_vec, amplitude):
 def solenoidal_gaussian(grid, width=1.0, center=(0.0, 0.0, 0.0),
                         axis_vec=(0.0, 0.0, 1.0), amplitude=1.0):
     """Divergence-free single-vortex field: curl of a Gaussian vector potential."""
-    if not width > 0:
-        raise ValueError(f"width must be > 0, got {width}")
     a = _curl_gaussian_arrays(grid, width, center, axis_vec, amplitude)
     return VectorField3.from_arrays(grid, *a)
 
 
 def random_solenoidal(grid, seed=0, n_vortices=4, width_range=(0.7, 1.3), amplitude=1.0):
     """Seeded superposition of randomly placed and oriented vortices."""
-    if n_vortices < 1:
-        raise ValueError(f"n_vortices must be >= 1, got {n_vortices}")
+    if not (n_vortices >= 1 and seed >= 0):
+        raise ValueError(f"n_vortices must be >= 1 and seed >= 0, got {n_vortices} and {seed}")
     rng = np.random.default_rng(seed)
     parts = [np.zeros((grid.n,) * 3) for _ in range(3)]
     for _ in range(n_vortices):

@@ -29,8 +29,8 @@ import numpy as np
 
 __all__ = [
     "Grid3", "ScalarField", "VectorField3", "DiagnosticsSample", "FirstOrderSample",
-    "make_grid", "integrate", "derive", "divergence", "sup_norm", "seminorm_jm",
-    "flow_energy", "sup_derivative", "first_order_diagnostics", "sample_diagnostics",
+    "make_grid", "integrate", "derive", "divergence", "sup_norm", "flow_energy",
+    "first_order_diagnostics", "sample_diagnostics",
 ]
 
 
@@ -160,11 +160,7 @@ class VectorField3:
 
     def speed_squared(self):
         """u1^2 + u2^2 + u3^2, accumulated in place in component order."""
-        out = np.square(self.u1.samples)
-        buf = np.empty_like(out)
-        for c in (self.u2, self.u3):
-            out += np.square(c.samples, out=buf)
-        return out
+        return _squares(self)[2]
 
 
 def _check_same_grid(a, b):
@@ -233,7 +229,7 @@ def sup_norm(u):
     """Max over the grid of |U| (scalar) or of the Euclidean speed (vector)."""
     if isinstance(u, ScalarField):
         return float(np.abs(u.samples).max())
-    return float(np.sqrt(u.speed_squared().max()))
+    return _squares(u)[1]
 
 
 def _like(a, buf):
@@ -273,35 +269,21 @@ def _norms(u, m, div_rtol=None):
     return J[:m], float(big) / (2 * h)
 
 
-def seminorm_jm(u, m):
-    """L^2 seminorm over all ordered m-th derivative combinations of all components."""
-    if m not in (1, 2):
-        raise ValueError("m must be 1 or 2")
-    return _norms(u, m)[0][m - 1]
+def _squares(u):
+    """W = h^3 sum u_i u_i (each component's squares summed in its own layout, the sums
+    added in component order), V = max speed, and the speed^2 per cell, from one pass."""
+    speed2 = np.square(u.u1.samples)
+    total, buf = np.sum(speed2), None
+    for c in (u.u2, u.u3):
+        buf = np.square(c.samples, out=_like(c.samples, buf))
+        total += np.sum(buf)
+        speed2 += buf
+    return float(total * u.grid.cell_volume), float(np.sqrt(speed2.max())), speed2
 
 
 def flow_energy(u):
     """W = integral of u_i u_i over the box."""
-    total, buf = 0, None
-    for c in u.components:
-        buf = _like(c.samples, buf)
-        total += np.sum(np.square(c.samples, out=buf))
-    return float(total * u.grid.cell_volume)
-
-
-def sup_derivative(u, m=1):
-    """D_m: max over components and m-th derivative combinations of the sup norm."""
-    if m not in (1, 2):
-        raise ValueError("m must be 1 or 2")
-    if m == 1:
-        return _norms(u, 1)[1]
-    h, best = u.grid.h, 0.0
-    for c in u.components:  # 3 pure second derivatives, 3 mixed (a first one differenced again)
-        firsts = [_derive_array(c.samples, ax, 1, h) for ax in range(3)]
-        seconds = [_derive_array(c.samples, ax, 2, h) for ax in range(3)]
-        seconds += [_derive_array(firsts[ax], bx, 1, h) for ax, bx in ((0, 1), (0, 2), (1, 2))]
-        best = max(best, *(float(np.abs(d).max()) for d in seconds))
-    return best
+    return _squares(u)[0]
 
 
 DiagnosticsSample = namedtuple("DiagnosticsSample", "t W J1 J2 V D1")  # all but t >= 0
@@ -309,17 +291,10 @@ FirstOrderSample = namedtuple("FirstOrderSample", "t W J1 V D1")
 
 
 def _diagnose(u, t, m, div_rtol=None):
-    """One state's diagnosis to order m (9 or 27 stencils; div_rtol as in ``_norms``)
-    and one squaring pass, summed as ``flow_energy`` and ``speed_squared`` sum them."""
+    """One state's diagnosis to order m (9 or 27 stencils; div_rtol as in ``_norms``)."""
     J, D1 = _norms(u, m, div_rtol)
-    speed2 = np.square(u.u1.samples)
-    W, buf = np.sum(speed2), None
-    for c in (u.u2, u.u3):
-        buf = np.square(c.samples, out=_like(c.samples, buf))
-        W += np.sum(buf)
-        speed2 += buf
-    sample = FirstOrderSample if m == 1 else DiagnosticsSample
-    return sample(float(t), float(W * u.grid.cell_volume), *J, float(np.sqrt(speed2.max())), D1)
+    W, V, _ = _squares(u)
+    return (FirstOrderSample if m == 1 else DiagnosticsSample)(float(t), W, *J, V, D1)
 
 
 def first_order_diagnostics(u, t):

@@ -109,7 +109,8 @@ class FlowState:
         """Keep the terms of X, forcing's sample at t, as 3 floats and that forcing."""
         work = sum(float(np.sum(a.samples * b.samples))
                    for a, b in zip(self.u.components, X.components)) * self.grid.cell_volume
-        terms = ForcingTerms(math.sqrt(fields.flow_energy(X)), fields.sup_norm(X), work)
+        W, V, _ = fields._squares(X)  # ||X|| and sup|X| from one squaring pass
+        terms = ForcingTerms(math.sqrt(W), V, work)
         self.__dict__["_forcing_terms"] = (forcing, terms)
         return terms
 
@@ -131,7 +132,9 @@ class ForcingField:
 def _heat_factor(grid, nu_t):
     """1D factor k and radius R of the truncated heat kernel K = k(x) k(y) k(z),
     up to the 1/h^3 of the unit-mass kernel.  R spans 8 widths sqrt(2 nu t),
-    clipped to [1, n-1]."""
+    clipped to [1, n-1]; nu t must leave 4 nu t finite."""
+    if not 4.0 * float(nu_t) < math.inf:  # a Python float: no overflow warning
+        raise ValueError(f"heat kernel width overflows at nu*t = {float(nu_t):g}")
     R = max(1, min(grid.n - 1, int(np.ceil(8.0 * np.sqrt(2.0 * nu_t) / grid.h)) + 1))
     off = grid.offsets(R)
     p = np.exp(-off * off / (4.0 * nu_t))

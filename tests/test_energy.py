@@ -177,6 +177,12 @@ class TestAbelIntegral:
         with pytest.raises(ValueError, match="power must be < 1"):
             abel_integral(t, np.ones_like(t), power, 1.0)
 
+    @pytest.mark.parametrize("t", [[0.0, 0.5, 0.2, 1.0], [0.0, 0.5, 0.5, 1.0], [1.0, 0.0]])
+    def test_times_must_strictly_increase(self, t):
+        # unordered times were integrated over overlapping pieces, a repeated one gave 0/0
+        with pytest.raises(ValueError, match="times must be strictly increasing"):
+            abel_integral(t, np.ones(len(t)), 0.5, 1.0)
+
 
 class TestFitSlope:
     def test_exact_power(self):

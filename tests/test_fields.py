@@ -9,8 +9,9 @@ import pytest
 
 from slowflow import (ScalarField, VectorField3, derive, divergence,
                       first_order_diagnostics, flow_energy, integrate, make_grid,
-                      sample_diagnostics, seminorm_jm, sup_derivative, sup_norm)
+                      sample_diagnostics, sup_norm)
 from slowflow import fields
+from slowflow.stokes import FlowState, ForcingField
 from slowflow import fieldgen
 from slowflow.fieldgen import gaussian_bump, solenoidal_gaussian
 
@@ -145,8 +146,8 @@ class TestSupNorm:
 
 class TestSeminorm:
     def test_zero(self, grid32):
-        assert seminorm_jm(VectorField3.zeros(grid32), 1) == 0.0
-        assert seminorm_jm(VectorField3.zeros(grid32), 2) == 0.0
+        assert first_order_diagnostics(VectorField3.zeros(grid32), 0.0).J1 == 0.0
+        assert sample_diagnostics(VectorField3.zeros(grid32), 0.0).J2 == 0.0
 
     def test_sine_gradient_energy(self):
         # J1^2 of (sin x1, 0, 0) ~ k^2 * W for k = 1
@@ -156,7 +157,7 @@ class TestSeminorm:
         W = flow_energy(u)
         # k = 1; box-edge asymmetry of sin^2 vs cos^2 and the O(h^2) stencil
         # damping both enter at the percent level
-        assert seminorm_jm(u, 1) ** 2 == pytest.approx(W, rel=0.08)
+        assert first_order_diagnostics(u, 0.0).J1 ** 2 == pytest.approx(W, rel=0.08)
 
     def test_gaussian_matches_analytic_gradient(self):
         g = make_grid(96, 8.0)
@@ -167,17 +168,14 @@ class TestSeminorm:
         r2 = X1 ** 2 + X2 ** 2 + X3 ** 2
         grad_sq = r2 * np.exp(-r2)  # |grad e^{-r^2/2}|^2
         expected = np.sqrt(np.sum(grad_sq) * g.cell_volume)
-        assert seminorm_jm(u, 1) == pytest.approx(expected, rel=0.01)
-
-    def test_invalid_m(self, grid32):
-        with pytest.raises(ValueError, match="m"):
-            seminorm_jm(VectorField3.zeros(grid32), 3)
+        assert first_order_diagnostics(u, 0.0).J1 == pytest.approx(expected, rel=0.01)
 
     def test_absolute_homogeneity(self, grid32, rng):
         comps = [ScalarField(grid32, rng.standard_normal((32,) * 3)) for _ in range(3)]
         u = VectorField3(*comps)
-        for m in (1, 2):
-            assert seminorm_jm(-2.5 * u, m) == pytest.approx(2.5 * seminorm_jm(u, m), rel=1e-12)
+        scaled, s = sample_diagnostics(-2.5 * u, 0.0), sample_diagnostics(u, 0.0)
+        for J in ("J1", "J2"):
+            assert getattr(scaled, J) == pytest.approx(2.5 * getattr(s, J), rel=1e-12)
         assert sup_norm(-2.5 * u) == pytest.approx(2.5 * sup_norm(u), rel=1e-12)
 
 
@@ -322,17 +320,21 @@ class TestDerivativePass:
     @pytest.mark.parametrize("decades", [0, 12])
     def test_energy_and_speed_take_one_squaring_pass(self, rng, n, decades):
         # W and V from one squaring pass per component are bit for bit those of
-        # flow_energy and sup_norm, also with components of different layouts
+        # flow_energy and sup_norm, and so are a forcing's ||X|| and sup|X|,
+        # also with components of different layouts
         g = make_grid(n, 3.0)
         arrays = [rng.standard_normal((n,) * 3) * 10.0 ** rng.uniform(-decades / 2, decades / 2,
                                                                          (n,) * 3)
                   for _ in range(3)]
-        for layouts in ((np.ascontiguousarray,) * 3,
+        for layouts in ((np.ascontiguousarray,) * 3, (np.asfortranarray,) * 3,
                         (np.asfortranarray, np.ascontiguousarray, np.asfortranarray)):
             u = VectorField3.from_arrays(g, *(f(a) for f, a in zip(layouts, arrays)))
             s = sample_diagnostics(u, 0.0)
             assert s.W == flow_energy(u)
             assert s.V == sup_norm(u)
+            X = ForcingField(g, lambda t: u)
+            terms = FlowState(0.0, VectorField3.zeros(g), ScalarField.zeros(g)).forcing_terms(X)
+            assert terms.norm == np.sqrt(flow_energy(u)) and terms.sup == sup_norm(u)
 
     @pytest.mark.parametrize("n", [16, 24, 40])
     @pytest.mark.parametrize("decades", [0, 12])
@@ -370,17 +372,16 @@ class TestDerivativePass:
         vol = g.cell_volume
         J = {m: np.sqrt(sum(np.sum(d ** 2) for d in _brute_force_derivatives(u, m)) * vol)
              for m in (1, 2)}
-        D = {m: max(np.abs(d).max() for d in _brute_force_derivatives(u, m)) for m in (1, 2)}
-        s = sample_diagnostics(u, 0.25)
+        D1 = max(np.abs(d).max() for d in _brute_force_derivatives(u, 1))
+        s, first = sample_diagnostics(u, 0.25), first_order_diagnostics(u, 0.25)
         assert s.W == pytest.approx(sum(np.sum(c.samples ** 2) for c in u.components) * vol,
                                     rel=1e-13)
         assert s.V == pytest.approx(np.sqrt(u.speed_squared().max()), rel=1e-13)
         assert s.J1 == pytest.approx(J[1], rel=1e-13)
         assert s.J2 == pytest.approx(J[2], rel=1e-13)
-        assert s.D1 == pytest.approx(D[1], rel=1e-13)
-        for m in (1, 2):
-            assert seminorm_jm(u, m) == pytest.approx(J[m], rel=1e-13)
-            assert sup_derivative(u, m) == pytest.approx(D[m], rel=1e-13)
+        assert s.D1 == pytest.approx(D1, rel=1e-13)
+        assert first.J1 == pytest.approx(J[1], rel=1e-13)
+        assert first.D1 == pytest.approx(D1, rel=1e-13)
         # each stencil acts along its axis in place of axis 0 of a transposed
         # copy: same values, and the result keeps the input's C layout
         a = u.u1.samples
@@ -412,10 +413,9 @@ class TestDerivativePass:
         calls = count_stencils()
         sample_diagnostics(u, 0.0)
         assert len(calls) == 27  # per component: 3 first, 3 pure, 3 mixed
-        for fn in (seminorm_jm, sup_derivative):
-            calls.clear()
-            fn(u, 1)
-            assert calls == [1] * 9
+        calls.clear()
+        first_order_diagnostics(u, 0.0)
+        assert calls == [1] * 9
 
 
 def _curl_gaussian_by_meshgrid(grid, width, center, axis_vec, amplitude):
@@ -506,6 +506,14 @@ def test_broadcast_samplers_equal_the_meshgrid_formulas(n):
                         (vortex, _pulse_sample(vortex_0, 0.7, t))):
             for c, b in zip(F.at(t).components, want):
                 assert c.samples.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan])
+def test_gaussians_reject_a_width_that_is_not_positive(grid32, width):
+    # width -1 gave the width-1 bump, width 0 an all-zero field after 0/0
+    for make in (gaussian_bump, solenoidal_gaussian, fieldgen.solenoidal_gaussian_laplacian):
+        with pytest.raises(ValueError, match="^width must be > 0"):
+            make(grid32, width)
 
 
 def test_sparse_meshgrid_broadcasts_to_the_full_one(grid32):

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -400,13 +401,22 @@ def test_config_numbers_are_not_truncated_or_coerced(tmp_path, capsys, command, 
 
 
 def test_overflowing_time_is_a_solver_error(tmp_path, capsys):
-    # a finite end time whose heat-kernel width 2 nu t overflows: the solve
-    # raises OverflowError before any write
-    path = _write_config(tmp_path, {"grid": {"n": 8, "L": 2.0}, "times": {"end": 1e308}})
-    code = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "o").exists()
+    # a finite end time whose heat-kernel width overflows (4 nu t = inf), unforced
+    # and forced (heat step) and forced from rest (a Duhamel node's numpy-scalar
+    # nu tau): the solve raises a ValueError naming nu*t before any write, with
+    # no overflow warning on the way
+    for initial, forcing in (("solenoidal_gaussian", "none"),
+                             ("solenoidal_gaussian", "solenoidal_pulse"),
+                             ("zero", "solenoidal_pulse")):
+        path = _write_config(tmp_path, {"grid": {"n": 8, "L": 2.0}, "times": {"end": 1e308},
+                                        "initial": {"generator": initial},
+                                        "forcing": {"generator": forcing}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: heat kernel width overflows at nu*t = ")
+        assert not (tmp_path / "o").exists()
 
 
 def test_verify_audits_the_from_rest_case(tmp_path, capsys):
@@ -446,7 +456,9 @@ def test_solver_error_is_not_labelled_a_config_error(tmp_path, capsys):
     ("forcing", "solenoidal_pulse", {"t_scale": 0}, "width and t_scale must be > 0"),
     ("initial", "solenoidal_gaussian", {"width": -1.0}, "width must be > 0"),
     ("initial", "random_solenoidal", {"n_vortices": -3}, "n_vortices must be >= 1"),
-], ids=["gradient_pulse", "solenoidal_pulse", "negative-width", "negative-n-vortices"])
+    ("initial", "random_solenoidal", {"seed": -1}, "n_vortices must be >= 1 and seed >= 0"),
+], ids=["gradient_pulse", "solenoidal_pulse", "negative-width", "negative-n-vortices",
+        "negative-seed"])
 def test_zero_time_scale_is_a_solver_error(tmp_path, capsys, section, generator, params, message):
     path = _write_config(tmp_path, {section: {"generator": generator, "params": params}})
     code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])

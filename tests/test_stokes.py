@@ -1,11 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
 from slowflow import (ScalarField, VectorField3, divergence, first_order_diagnostics,
-                      flow_energy, integrate, make_grid, sample_diagnostics, seminorm_jm, stokes,
-                      sup_norm)
+                      flow_energy, integrate, make_grid, sample_diagnostics, stokes, sup_norm)
 from slowflow.convolve import SpectralAccumulator, convolve_offsets, newton_kernel
 from slowflow.fieldgen import (gradient_pulse_forcing, ramped_forcing,
                                random_solenoidal, solenoidal_gaussian,
@@ -110,6 +111,17 @@ class TestHeatPropagate:
         with pytest.raises(ValueError, match="t must be >= 0 and finite"):
             heat_propagate(solenoidal_gaussian(grid16, width=1.0), PAR, t)
 
+    def test_overflowing_kernel_width_names_nu_t(self, grid16):
+        # 4 nu t overflows: a ValueError naming nu*t, not an overflow warning or an
+        # OverflowError, for a float t and for a Duhamel node's numpy-scalar nu tau
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^heat kernel width overflows at nu\*t = 1e\+308$"):
+                heat_propagate(solenoidal_gaussian(grid16, width=1.0), PAR, 1e308)
+            with pytest.raises(ValueError, match=r"nu\*t = 4\.5e\+307"):
+                _heat_factor(grid16, np.float64(0.9e308) * np.float64(0.5))
+        assert _heat_factor(grid16, 4e307)[1] == grid16.n - 1  # finite 4 nu t: the widest kernel
+
     @pytest.mark.parametrize("t", [0.1, 0.25, 6.0])  # 6.0 clips the radius at n-1
     def test_separable_path_matches_3d_convolution(self, grid16, t):
         u0 = solenoidal_gaussian(grid16, width=1.0)
@@ -177,7 +189,8 @@ class TestHeatPropagate:
         ut = heat_propagate(u0, PAR, 0.5)
         assert sup_norm(ut) <= sup_norm(u0) * (1 + 1e-12)
         assert flow_energy(ut) <= flow_energy(u0) * (1 + 1e-12)
-        assert seminorm_jm(ut, 1) <= seminorm_jm(u0, 1) * (1 + 1e-10)
+        assert (first_order_diagnostics(ut, 0.5).J1
+                <= first_order_diagnostics(u0, 0.0).J1 * (1 + 1e-10))
 
 
 class TestOseenTensor:
@@ -551,7 +564,7 @@ class TestSolveLinearized:
         grad = gradient_pulse_forcing(grid16).at(0.0)
         u0 = solenoidal_gaussian(grid16, width=1.0) + grad * alpha
         div = divergence(u0)
-        ratio = np.sqrt(integrate(div, div)) / seminorm_jm(u0, 1)
+        ratio = np.sqrt(integrate(div, div)) / first_order_diagnostics(u0, 0.0).J1
         assert abs(ratio / stokes.DIV_RTOL - 1) > 1e-3  # clear of the threshold
         if ratio <= stokes.DIV_RTOL:
             assert len(solve_linearized(u0, None, PAR, [0.0, 0.5])) == 2
