@@ -6,9 +6,9 @@ for every subcommand (unknown keys and generator params are errors), runs a
 fixed pipeline, and writes LERF fields, a diagnostics CSV, and a report JSON
 into the output directory.  Exit status: 0 all checks pass, 1 a check failed
 (reports are still written), 2 a config error ("config error: ...", NaN and
-Infinity included) or a solver ValueError or OverflowError, such as an
-under-resolved or overflowing time ("error: ..."), with neither a traceback nor
-an output directory: each command makes it at its first write.
+Infinity included), a solver ValueError or OverflowError (an under-resolved or
+overflowing time) or an unwritable output path ("error: ..."), never with a
+traceback; the first two leave no output directory (made at the first write).
 """
 
 import argparse
@@ -33,7 +33,7 @@ VERIFY_CHECKS = (
     "energy_balance", "energy_inequality", "monotone_bounds", "schwarz",
     "hardy", "representation", "quasi_derivative", "negative_control",
 )
-MIN_TIMES = {"negative_control": 2, "energy_balance": 3}  # samples a check or study needs
+MIN_TIMES = {"energy_balance": 3}  # a check or study that needs more than 2 samples
 
 # The config schema, one key set for every subcommand: {section: {key: (type,
 # default)}}, top-level keys as (type, default).  A float is any JSON number
@@ -121,7 +121,7 @@ class ExperimentConfig:
         self.t_start, self.t_end, self.t_count = (c["times"][k] for k in ("start", "end", "count"))
         _require(self.t_start >= 0.0, "times.start must be >= 0")
         _require(self.t_end > self.t_start, "times.end must exceed times.start")
-        _require(self.t_count >= 1, "times.count must be >= 1")
+        _require(self.t_count >= 2, "times.count must be >= 2")
 
         self.epsilons = c["epsilons"]
         _require(len(set(self.epsilons)) == len(self.epsilons) >= 2
@@ -147,7 +147,7 @@ class ExperimentConfig:
         for name in self.checks:
             _require(name in VERIFY_CHECKS, f"checks: unknown check '{name}'")
         for name in {"verify": self.checks, "convergence-study": [self.study]}.get(command, []):
-            k = MIN_TIMES.get(name, 1)
+            k = MIN_TIMES.get(name, 2)
             _require(self.t_count >= k, f"times.count: {name} needs at least {k} samples")
         self.output = c["output"]
 
@@ -376,7 +376,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError) as e:  # the solve raises before any write
+    except (ValueError, OverflowError, OSError) as e:  # a solver error, or an unwritable --out
         print(f"error: {e}", file=sys.stderr)
         return 2
     for r in reports:

@@ -69,6 +69,8 @@ def convolver(kernels, n, h):
     one inverse transform per call.  ``kernels`` is one kernel or a list of
     kernels of one radius, each cropped and transformed once for every call."""
     kernels = kernels if isinstance(kernels, list) else [kernels]  # an Octant is a tuple
+    if not kernels:
+        raise ValueError("convolver needs at least one kernel")
     cropped = [_crop_to_box(K, n) for K in kernels]
     R = cropped[0][1]
     acc = SpectralAccumulator(n, R, h)

@@ -176,6 +176,8 @@ def bound_suite(u0, states, forcing, params, scaling=False):
 
     if forced:
         # forced-response ratio bounds; meaningful for runs started from rest
+        if len(states) < 2:
+            raise ValueError("forced-response ratios need at least 2 time samples")
         reports = []
         for name, fn, values, note in (
             ("forced-gradient-ratio", fnorms, J1, None),

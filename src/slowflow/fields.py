@@ -8,13 +8,10 @@ Stencils on different axes commute exactly (each acts on one tensor factor of
 the grid, boundary rows included), so each mixed second derivative is built
 once and J2 counts it twice, for the ordered pairs (a, b) and (b, a).
 
-A stencil on a C- or F-contiguous array runs its centered interior as one
-pass over flat memory, where the neighbours along the axis lie a fixed
-stride B apart.  That is exact: a cell whose flat neighbours at +-B are not
-its axis neighbours has index 0 or n - 1 along the axis, and those two
-boundary layers are rewritten afterwards by the one-sided formulas.  Every
-cell sees the same floating-point operations in the same order as on a
-strided view, and nothing 3D is allocated besides the result.  The
+Samples are C-contiguous float64, so a stencil runs its centered interior
+as one pass over flat memory, the neighbours along the axis a fixed stride B
+apart; a cell whose flat neighbours at +-B are not its axis neighbours lies in
+one of the two boundary layers, which the one-sided formulas rewrite.  The
 diagnostics take undivided differences into 2 workspaces and scale each norm
 once at the end: D1 is exact (rounded division is monotone), J1 and J2 match
 the divided derivatives to round-off.  Their sums of squares run on einsum,
@@ -77,15 +74,17 @@ def make_grid(n, L):
 class ScalarField:
     """Real samples of a function at the cell centers of a Grid3.
 
-    ``samples`` has shape (n, n, n) indexed [i1, i2, i3]; the canonical flat
-    order (files, checksums) is x1-fastest, i.e. ``samples.ravel(order="F")``.
+    ``samples`` is C-contiguous float64 of shape (n, n, n), indexed [i1, i2, i3]: a C
+    float64 input is shared (a read-only view too), any other copied once; reassigning
+    it later skips these checks.  The canonical flat order (files, checksums) is
+    x1-fastest, i.e. ``samples.ravel(order="F")``.
     """
 
     grid: Grid3
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        self.samples = np.ascontiguousarray(self.samples, dtype=np.float64)
         shape = (self.grid.n,) * 3
         if self.samples.shape != shape:
             raise ValueError(f"samples must have shape {shape}, got {self.samples.shape}")
@@ -95,7 +94,7 @@ class ScalarField:
     @classmethod
     def from_function(cls, grid, fn):
         X1, X2, X3 = grid.meshgrid()
-        return cls(grid, np.asarray(fn(X1, X2, X3), dtype=np.float64))
+        return cls(grid, fn(X1, X2, X3))
 
     @classmethod
     def zeros(cls, grid):
@@ -177,15 +176,11 @@ def integrate(U, V):
 def _difference(a, axis, order, out):
     """Undivided centered difference of the given order along axis, hi - lo or
     (hi - 2 mid) + lo, one-sided at its two boundary layers, written into out
-    (which must not share memory with a)."""
+    (C-contiguous like a, and not sharing memory with it)."""
     s, o = a.swapaxes(0, axis), out.swapaxes(0, axis)
-    if (a.flags.c_contiguous or a.flags.f_contiguous) and out.strides == a.strides:
-        # one pass over flat memory: neighbours along axis lie B cells apart
-        B = a.strides[axis] // a.itemsize
-        f, g = a.ravel(order="K"), out.ravel(order="K")
-        lo, mid, hi, dst = f[:-2 * B], f[B:-B], f[2 * B:], g[B:-B]
-    else:
-        lo, mid, hi, dst = s[:-2], s[1:-1], s[2:], o[1:-1]
+    B = a.strides[axis] // a.itemsize  # flat distance of axis neighbours
+    f, g = a.ravel(), out.ravel()
+    lo, mid, hi, dst = f[:-2 * B], f[B:-B], f[2 * B:], g[B:-B]
     if order == 1:
         np.subtract(hi, lo, out=dst)
         o[0] = -3 * s[0] + 4 * s[1] - s[2]
@@ -232,14 +227,9 @@ def sup_norm(u):
     return _squares(u)[1]
 
 
-def _like(a, buf):
-    """buf if it has a's strides, else a new array laid out as a."""
-    return buf if buf is not None and buf.strides == a.strides else np.empty_like(a)
-
-
 def _sum_squares(a):
-    """Sum of a ** 2 over contiguous a, in one deterministic single-thread pass."""
-    return np.einsum("i,i->", a.ravel(order="K"), a.ravel(order="K"))
+    """Sum of a ** 2 over C-contiguous a, in one deterministic single-thread pass."""
+    return np.einsum("i,i->", a.ravel(), a.ravel())
 
 
 def _norms(u, m, div_rtol=None):
@@ -247,17 +237,16 @@ def _norms(u, m, div_rtol=None):
     first one f, then (m = 2) the pure second one and those of f along each later axis (2
     ordered pairs each), each norm scaled once; u fails if ||div u|| > div_rtol J1 (if given)."""
     s1 = pure = mixed = big = 0.0
-    f = g = div = None  # the first difference, the second-order workspace, div u
+    f, div = np.empty((u.grid.n,) * 3), None  # the first difference, div u
+    g = np.empty_like(f) if m == 2 else None  # the second-order workspace
     for i, c in enumerate(u.components):
         a = c.samples
-        f = _like(a, f)
-        g = _like(f, g) if m == 2 else None
         for ax in range(3):
             _difference(a, ax, 1, f)
             s1 += _sum_squares(f)
             big = max(big, f.max(), -f.min())
             if div_rtol is not None and ax == i:
-                div = f.copy(order="K") if div is None else np.add(div, f, out=div)
+                div = f.copy() if div is None else np.add(div, f, out=div)
             if m == 2:
                 pure += _sum_squares(_difference(a, ax, 2, g))
                 for bx in range(ax + 1, 3):
@@ -270,13 +259,12 @@ def _norms(u, m, div_rtol=None):
 
 
 def _squares(u):
-    """W = h^3 sum u_i u_i (each component's squares summed in its own layout, the sums
-    added in component order), V = max speed, and the speed^2 per cell, from one pass."""
+    """W = h^3 sum u_i u_i (each component's squares summed, the sums added in
+    component order), V = max speed, and the speed^2 per cell, from one pass."""
     speed2 = np.square(u.u1.samples)
-    total, buf = np.sum(speed2), None
+    total, buf = np.sum(speed2), np.empty_like(speed2)
     for c in (u.u2, u.u3):
-        buf = np.square(c.samples, out=_like(c.samples, buf))
-        total += np.sum(buf)
+        total += np.sum(np.square(c.samples, out=buf))
         speed2 += buf
     return float(total * u.grid.cell_volume), float(np.sqrt(speed2.max())), speed2
 

@@ -57,6 +57,6 @@ def read_field(path):
             raise LerfError("trailing bytes after payload")
         payload = f.read(need)
     raw = np.frombuffer(payload, dtype="<f8")
-    comps = [ScalarField(grid, block.reshape((n, n, n), order="F").copy())
+    comps = [ScalarField(grid, block.reshape((n, n, n), order="F"))  # the one C copy
              for block in raw.reshape(count, n ** 3)]
     return comps[0] if count == 1 else VectorField3(*comps)

@@ -168,6 +168,8 @@ def test_convolver_rejects_a_wrong_field_count_and_mixed_radii(rng):
         convolver([N, Octant(N.samples[:4, :4, :4])], g.n, g.h)
     with pytest.raises(ValueError, match="does not match radius"):
         convolver([rng.standard_normal((5,) * 3), rng.standard_normal((7,) * 3)], g.n, g.h)
+    with pytest.raises(ValueError, match="at least one kernel"):
+        convolver([], g.n, g.h)
 
 
 def test_representation_transforms_each_operand_once_and_inverts_once(monkeypatch):

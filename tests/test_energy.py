@@ -12,8 +12,8 @@ from slowflow.energy import (_monotone_report, _scaling_report, abel_integral,
                              max_increment_structure)
 from slowflow.report import make_report
 from slowflow.fieldgen import (cusp_flow, ramped_forcing, random_solenoidal,
-                               solenoidal_gaussian,
-                               solenoidal_gaussian_laplacian)
+                               solenoidal_gaussian, solenoidal_gaussian_laplacian,
+                               solenoidal_pulse_forcing)
 from slowflow.stokes import FluidParams, FlowState, ForcingField, solve_linearized
 
 PAR = FluidParams(1.0, 1.0)
@@ -225,6 +225,15 @@ class TestBoundSuite:
         assert all(r.passed for r in reports)
         for r in reports:
             assert np.isfinite(r.metadata["empirical_constant"])
+
+    def test_forced_ratios_need_two_states(self):
+        # one state has no ratio to bound: an error, not a 0 <= 0 pass
+        g, par = make_grid(16, 4.0), FluidParams(1.0, 1.0)
+        F = solenoidal_pulse_forcing(g, width=1.0, amplitude=1.0, t_scale=1.0)
+        states = solve_linearized(VectorField3.zeros(g), F, par, [0.0])
+        assert states[0].forcing_terms(F).norm > 0
+        with pytest.raises(ValueError, match="at least 2 time samples"):
+            bound_suite(None, states, F, par)
 
 
 def _bound_suite_oracle(states, forcing, params, fit):

@@ -264,14 +264,45 @@ def _layout(a):
 class TestDerivativePass:
     @pytest.mark.parametrize("n", [8, 10, 24, 40])
     def test_in_place_stencil_matches_swapped_axis_formula(self, rng, n):
+        # on C arrays, the one layout a field stores and the private kernels take
         h = 0.7 / n
-        for name, a in _layouts(rng, n).items():
-            for axis in range(3):
-                for order in (1, 2):
-                    want = _swapped_axis_derive(a, axis, order, h)
-                    got = fields._derive_array(a, axis, order, h)
-                    np.testing.assert_array_equal(got, want, err_msg=f"{name} {axis} {order}")
-                    assert _layout(got) == _layout(want), (name, axis, order)
+        a = _layouts(rng, n)["C"]
+        for axis in range(3):
+            for order in (1, 2):
+                want = _swapped_axis_derive(a, axis, order, h)
+                got = fields._derive_array(a, axis, order, h)
+                np.testing.assert_array_equal(got, want, err_msg=f"{axis} {order}")
+                assert _layout(got) == _layout(want), (axis, order)
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_every_layout_is_stored_c_contiguous(self, rng, n):
+        # a C float64 array is shared, a read-only view staying read-only; an F
+        # or sliced one is copied to C, so every result is the C input's, bit for bit
+        g = make_grid(n, 3.0)
+        inputs = [_layouts(rng, n) for _ in range(3)]
+        c_arrays = [d["C"] for d in inputs]
+        view = c_arrays[0].view()
+        view.flags.writeable = False
+        shared = ScalarField(g, view)
+        assert shared.samples is view and not shared.samples.flags.writeable
+
+        def results(u):
+            derivs = [derive(c, ax, order).samples.tobytes() for c in u.components
+                      for ax in (1, 2, 3) for order in (1, 2)]
+            X = ForcingField(g, lambda t: u)
+            terms = FlowState(0.0, VectorField3.zeros(g), ScalarField.zeros(g)).forcing_terms(X)
+            return (derivs, sample_diagnostics(u, 0.0), flow_energy(u), sup_norm(u),
+                    sup_norm(u.u1), tuple(terms[:2]))
+
+        want = results(VectorField3.from_arrays(g, *c_arrays))
+        for name in ("C", "F", "sliced"):
+            arrays = [d[name] for d in inputs]
+            u = VectorField3.from_arrays(g, *arrays)
+            for c, a in zip(u.components, arrays):
+                assert c.samples.flags.c_contiguous, name
+                assert (c.samples is a) == (name == "C"), name
+                np.testing.assert_array_equal(c.samples, a)
+            assert results(u) == want, name
 
     def test_norms_allocate_one_workspace(self, rng):
         # 2 arrays: the first difference and one second-order difference; a 3D

@@ -368,7 +368,11 @@ def test_override_on_malformed_config_is_a_config_error(tmp_path, capsys, raw, f
     ("mollify-study", {"epsilons": [2.0]}, "epsilons"),
     ("mollify-study", {"field_width": 0}, "field_width"),
     ("mollify-study", {"epsilons": [2.0, 1.0]}, "epsilons"),
-    ("verify", {"checks": ["negative_control"], "times": {"count": 1}}, "negative_control"),
+    ("verify", {"checks": ["negative_control"], "times": {"count": 1}}, "times.count"),
+    # one time would solve only at start, and a forced verify then passed on nothing
+    ("solve", {"times": {"count": 1}}, "times.count must be >= 2"),
+    ("verify", {"forcing": {"generator": "solenoidal_pulse"}, "times": {"end": 1.0, "count": 1}},
+     "times.count must be >= 2"),
     ("verify", {"checks": ["energy_balance"], "times": {"count": 2}}, "energy_balance"),
     ("convergence-study", {"study": "energy_balance", "times": {"count": 2}}, "energy_balance"),
     ("convergence-study", {"grids": [24, 16]}, "grids"),
@@ -388,7 +392,8 @@ def test_override_on_malformed_config_is_a_config_error(tmp_path, capsys, raw, f
         "int-output", "null-output", "list-generator", "null-param", "string-width",
         "string-t-scale", "unknown-param", "fractional-seed", "string-seed",
         "no-epsilons", "one-epsilon", "zero-field-width", "under-resolved-epsilon",
-        "one-time-negative-control", "two-time-energy-balance", "two-time-energy-study",
+        "one-time-negative-control", "one-time-solve", "one-time-forced-verify",
+        "two-time-energy-balance", "two-time-energy-study",
         "decreasing-grids", "repeated-grids", "repeated-epsilon", "infinite-L", "infinite-end",
         "nan-nu", "nan-epsilon", "infinite-field-width", "nan-amplitude", "integer-beyond-float"])
 def test_config_numbers_are_not_truncated_or_coerced(tmp_path, capsys, command, extra, field):
@@ -607,6 +612,28 @@ def test_each_state_takes_the_stencils_its_command_reads(count_stencils, tmp_pat
     main([command, "--config", str(path), "--out", str(tmp_path / "o")])
     assert calls.count(1) == grids * (9 + first * (4 if second else 3))
     assert calls.count(2) == grids * second * 4
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("solve", {}),
+    ("verify", {}),
+    ("mollify-study", {"grid": {"n": 16, "L": 4.0}, "epsilons": [2.0, 1.0]}),
+    ("convergence-study", {"grid": {"n": 8, "L": 4.0}, "grids": [8, 16]}),
+], ids=["solve", "verify", "mollify-study", "convergence-study"])
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+def test_unwritable_output_path_is_an_error_not_a_failed_check(tmp_path, capsys, command, extra,
+                                                               below):
+    # exit 1 means a check failed: an --out that names a file, or lies below one,
+    # exits 2 with the OSError's message and no traceback, and leaves the file as it was
+    path = _write_config(tmp_path, extra)
+    blocker = tmp_path / "file"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" if below else blocker
+    code = main([command, "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert blocker.read_text() == "keep\n"
 
 
 @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not-json"])
