@@ -161,39 +161,38 @@ def _fmt(x):
 
 def write_diagnostics_csv(path, series):
     rows = ["t,W,J1,J2,V,D1,Xnorm"]
-    for s, fn in zip(series.samples, series.forcing_norms):
+    for s, fn in zip(series.samples, series.column("norm")):
         rows.append(",".join(_fmt(v) for v in (s.t, s.W, s.J1, s.J2, s.V, s.D1, fn)))
     with open(path, "w", newline="\n") as f:
         f.write("\n".join(rows) + "\n")
 
 
 def _solve(cfg, grid):
-    """The configured u0 and forcing built on ``grid``, solved at the configured
-    times and diagnosed: (forcing, states, series)."""
+    """The configured u0 and forcing built on ``grid`` and solved at the configured times."""
     u0 = fieldgen.initial_condition(cfg.initial_name, grid, cfg.initial_params)
     forcing = fieldgen.forcing(cfg.forcing_name, grid, cfg.forcing_params)
-    states = solve_linearized(u0, forcing, cfg.params, cfg.times())
-    return forcing, states, energy.diagnostics_series(states, forcing, cfg.params)
+    return energy.diagnostics_series(solve_linearized(u0, forcing, cfg.params, cfg.times()),
+                                     forcing, cfg.params)
 
 
 def _solve_pipeline(cfg, out_dir, write_fields=True):
-    forcing, states, series = _solve(cfg, cfg.grid)
+    series = _solve(cfg, cfg.grid)
     os.makedirs(out_dir, exist_ok=True)
     write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), series)
     if write_fields:
-        for k, s in enumerate(states):
+        for k, s in enumerate(series.states):
             for ci, comp in enumerate(s.u.components, start=1):
                 lerf.write_field(os.path.join(out_dir, f"u{ci}_{k:03d}.lerf"), comp)
             lerf.write_field(os.path.join(out_dir, f"p_{k:03d}.lerf"), s.p)
         manifest = {
-            "times": [float(s.t) for s in states],
+            "times": [float(t) for t in series.times],
             "nu": cfg.params.nu, "rho": cfg.params.rho,
             "grid": {"n": cfg.grid.n, "L": cfg.grid.L},
         }
         with open(os.path.join(out_dir, "manifest.json"), "w") as f:
             json.dump(manifest, f, sort_keys=True, indent=2)
             f.write("\n")
-    return forcing, states, series
+    return series
 
 
 def _probe(grid):
@@ -201,8 +200,8 @@ def _probe(grid):
     return fieldgen.gaussian_bump(grid, width=min(1.0, grid.L / 6.0))
 
 
-def _run_verify_checks(cfg, forcing, states, series):
-    reports = []
+def _run_verify_checks(cfg, series):
+    states, forcing, reports = series.states, series.forcing, []
     probe = _probe(cfg.grid) if {"hardy", "representation"} & set(cfg.checks) else None
     for check in cfg.checks:
         if check == "energy_balance":
@@ -306,8 +305,9 @@ def _convergence_study(cfg, out_dir):
             values.append(rep.lhs)
         else:  # energy_balance: no per-grid report (its 2-percent default
             # needs >= 64^3 data)
-            forcing, states, series = _solve(cfg, grid)
-            values.append(energy.energy_balance_residual(series, states, forcing, cfg.params).lhs)
+            run = _solve(cfg, grid)
+            values.append(energy.energy_balance_residual(
+                run, run.states, run.forcing, cfg.params).lhs)
     # a zero value on the coarser grid: no growth if the finer one is zero too,
     # else unbounded growth, stored finite so report.json stays strict JSON
     worst_ratio = max(b / a if a > 0 else (0.0 if b == 0 else sys.float_info.max)
@@ -323,7 +323,7 @@ def run_experiment(cfg, out_dir):
     if cfg.command == "solve":
         _solve_pipeline(cfg, out_dir, write_fields=True)
     elif cfg.command == "verify":
-        reports = _run_verify_checks(cfg, *_solve_pipeline(cfg, out_dir, write_fields=False))
+        reports = _run_verify_checks(cfg, _solve_pipeline(cfg, out_dir, write_fields=False))
     elif cfg.command == "mollify-study":
         reports = _mollify_study(cfg, out_dir)
     elif cfg.command == "convergence-study":

@@ -8,6 +8,7 @@ import numpy as np
 
 from .fields import _derive_array, flow_energy, sup_norm
 from .report import make_report, make_value_report
+from .stokes import ForcingTerms
 
 __all__ = [
     "DiagnosticsSeries", "diagnostics_series",
@@ -22,13 +23,12 @@ ENERGY_INEQ_RTOL = 1e-10  # energy inequality tolerance, relative to sqrt(W(0))
 
 @dataclass
 class DiagnosticsSeries:
-    """States and forcing norms.  ``samples`` and the J2 column read each
-    state's ``diagnostics``, the other columns its ``first_order``; the forcing
-    norms are its ``forcing_terms``, whose one sample per state every audit
-    shares."""
+    """One run: its states and their forcing (None for none).  ``column`` reads J2 from
+    ``diagnostics``, W, J1, V and D1 from ``first_order``, norm, sup and work from
+    ``forcing_terms``: each state's own, kept and shared by every audit."""
 
     states: list
-    forcing_norms: list
+    forcing: object
 
     @property
     def samples(self):
@@ -39,28 +39,34 @@ class DiagnosticsSeries:
         return np.array([s.t for s in self.states])
 
     def column(self, name):
+        if name in ForcingTerms._fields:
+            return np.array([getattr(s.forcing_terms(self.forcing), name) for s in self.states])
         return np.array([getattr(s.diagnostics if name == "J2" else s.first_order, name)
                          for s in self.states])
 
 
-def _check_states(states):
-    """The shared grid of a nonempty, strictly time-ordered state list."""
-    if not states:
-        raise ValueError("states must be nonempty")
+def _check_states(states, need):
+    """Raise unless ``states`` are at least ``need`` states, strictly time-ordered on one grid."""
+    if len(states) < need:
+        raise ValueError(f"need at least {need} time samples" if states else
+                         "states must be nonempty")
     grid = states[0].grid
     times = [s.t for s in states]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("state times must be strictly increasing")
     if any(s.grid != grid for s in states):
         raise ValueError("mixed grids in state list")
-    return grid
+
+
+def _running(values, t):
+    """The trapezoid integral of values over t[:k+1], for each k."""
+    return np.array([np.trapezoid(values[: k + 1], t[: k + 1]) for k in range(len(t))])
 
 
 def diagnostics_series(states, forcing=None, params=None):
-    """Per-state W, J1, J2, V, D1 (taken when read) plus the forcing L2 norm at
-    each time; ``params`` is unused."""
-    _check_states(states)
-    return DiagnosticsSeries(list(states), [s.forcing_terms(forcing).norm for s in states])
+    """The run of ``states`` and ``forcing``, read when its columns are; ``params`` is unused."""
+    _check_states(states, 1)
+    return DiagnosticsSeries(list(states), forcing)
 
 
 def energy_balance_residual(series, states, forcing, params, rel_tol=0.02):
@@ -70,15 +76,15 @@ def energy_balance_residual(series, states, forcing, params, rel_tol=0.02):
     worst |residual| over the samples relative to the largest term of the
     balance, the maximum over samples of W, nu * int J1^2 and |int (X, u)|.
     That is W(0) for a decaying unforced run, and stays defined from rest.
+    ``states`` and ``forcing`` must be the series' own.
     """
-    if len(states) < 3:
-        raise ValueError("need at least 3 time samples")
+    _check_states(states, 3)
+    if forcing is not series.forcing or list(map(id, states)) != list(map(id, series.states)):
+        raise ValueError("states and forcing must be the series' own")
     t = series.times
-    J1sq = series.column("J1") ** 2
     W = series.column("W")
-    work_rate = np.array([s.forcing_terms(forcing).work for s in states])
-    dissip = np.array([params.nu * np.trapezoid(J1sq[: k + 1], t[: k + 1]) for k in range(len(t))])
-    work = np.array([np.trapezoid(work_rate[: k + 1], t[: k + 1]) for k in range(len(t))])
+    dissip = params.nu * _running(series.column("J1") ** 2, t)
+    work = _running(series.column("work"), t)
     scale = float(max(W.max(), dissip.max(), np.abs(work).max()))
     res = np.abs(dissip + 0.5 * (W - W[0]) - work)[1:]
     residuals = [float(r / scale) if scale > 0 else 0.0 for r in res]
@@ -89,13 +95,12 @@ def energy_balance_residual(series, states, forcing, params, rel_tol=0.02):
 def energy_inequality_check(series):
     """sqrt(W(t)) <= sqrt(W(0)) + int_0^t sqrt(forcing energy) dt', every sample;
     reports the tightest sample after the first, which holds with equality."""
+    _check_states(series.states, 2)
     t = series.times
     sqw = np.sqrt(series.column("W"))
-    fn = np.asarray(series.forcing_norms)
-    rhs = np.array([sqw[0] + (np.trapezoid(fn[: k + 1], t[: k + 1]) if k else 0.0)
-                    for k in range(len(t))])
+    rhs = sqw[0] + _running(series.column("norm"), t)
     margins = rhs - sqw
-    k = int(np.argmin(margins[1:])) + 1 if len(t) > 1 else 0
+    k = int(np.argmin(margins[1:])) + 1
     tol = ENERGY_INEQ_RTOL * max(sqw[0], 1e-300)
     return make_report("energy-inequality", sqw[k], rhs[k], tol,
                        {"margins": [float(m) for m in margins]})
@@ -138,9 +143,8 @@ def abel_integral(times, values, power, nu):
 
 def _monotone_report(name, values, tol_rel):
     v0 = values[0]
-    worst = float(np.max(values[1:])) if len(values) > 1 else v0
     tol = tol_rel * max(abs(v0), 1e-300)
-    return make_report(name, worst, v0, tol, {"initial": float(v0)})
+    return make_report(name, float(np.max(values[1:])), v0, tol, {"initial": float(v0)})
 
 
 def _scaling_report(name, t, ratio, expected):
@@ -157,31 +161,26 @@ def bound_suite(u0, states, forcing, params, scaling=False):
     V/J1 ~ t^{-1/4}, D_m/sqrt(W) ~ t^{-(2m+3)/4} and J_m/sqrt(W) ~ t^{-m/2};
     they require at least 5 positive-time samples spanning a decade.
 
-    Every column is read from ``FlowState.first_order``, and from
-    ``FlowState.diagnostics`` when the fit reads J2: a state diagnosed that
-    deep already takes no derivative pass here.  ||X|| and sup|X| are read
-    from ``FlowState.forcing_terms``: a state whose forcing another audit has
-    read is not sampled again.  ``u0`` is not used.
+    Every column is read through a series of ``states`` and ``forcing``; the fit
+    reads J2 first, so one full pass per state serves every column.  ``u0`` is unused.
     """
-    _check_states(states)
-    t = np.array([float(s.t) for s in states])
-    fnorms, sup_f, _ = zip(*(s.forcing_terms(forcing) for s in states))
-    forced = any(f > 0 for f in fnorms)
+    _check_states(states, 2)
+    series = DiagnosticsSeries(list(states), forcing)
+    t, fnorms = series.times, series.column("norm")
+    forced = bool(np.any(fnorms > 0))
     fit = scaling and not forced
     pos = t > 0
     if fit and (pos.sum() < 5 or t[pos].max() / t[pos].min() < 10.0):
         raise ValueError("fewer than 5 usable time samples spanning a decade")
-    sample = [s.diagnostics if fit else s.first_order for s in states]
-    W, J1, V, D1 = (np.array([getattr(d, k) for d in sample]) for k in ("W", "J1", "V", "D1"))
+    J2 = series.column("J2") if fit else None
+    W, J1, V, D1 = (series.column(k) for k in ("W", "J1", "V", "D1"))
 
     if forced:
         # forced-response ratio bounds; meaningful for runs started from rest
-        if len(states) < 2:
-            raise ValueError("forced-response ratios need at least 2 time samples")
         reports = []
         for name, fn, values, note in (
             ("forced-gradient-ratio", fnorms, J1, None),
-            ("forced-sup-derivative-ratio", sup_f, D1,
+            ("forced-sup-derivative-ratio", series.column("sup"), D1,
              "stated with '=' in the source relation; certified as an upper bound"),
         ):
             rhs = [abel_integral(t[: k + 1], fn[: k + 1], 0.5, params.nu)
@@ -201,8 +200,7 @@ def bound_suite(u0, states, forcing, params, scaling=False):
                _monotone_report("energy-monotone", W, 1e-10),
                _monotone_report("gradient-seminorm-monotone", J1, 1e-10)]
     if fit:
-        tp, Vp, J1p, D1p = t[pos], V[pos], J1[pos], D1[pos]
-        J2p = np.array([d.J2 for d in sample])[pos]
+        tp, Vp, J1p, D1p, J2p = t[pos], V[pos], J1[pos], D1[pos], J2[pos]
         sqW = np.sqrt(W[pos])
         reports.append(_scaling_report("speed-over-gradient-decay", tp, Vp / J1p, -0.25))
         reports.append(_scaling_report("sup-speed-decay-rate", tp, Vp / sqW, -0.75))
@@ -219,6 +217,8 @@ def max_increment_structure(u, separations_cells, core_half_cells):
     half-width core_half_cells cells); separations are in cells.
     """
     n, h = u.grid.n, u.grid.h
+    if not 1 <= core_half_cells <= n // 2:
+        raise ValueError(f"core_half_cells must be in [1, {n // 2}], got {core_half_cells}")
     core = slice(n // 2 - core_half_cells, n // 2 + core_half_cells)
     # the 9 gradient components cropped to the core, each axis in turn leading
     views = [np.moveaxis(d[core, core, core], axis, 0) for c in u.components

@@ -110,8 +110,9 @@ def mollify_derivative(U, k, multi_index):
     to the kernel profile, never to U.
     """
     _check_resolved(U, k)
-    mi = tuple(int(v) for v in multi_index)
-    if len(mi) != 3 or any(v < 0 for v in mi) or not (1 <= sum(mi) <= 2):
-        raise ValueError("multi_index must have 1 <= l+m+n <= 2")
+    mi = tuple(multi_index)
+    if (len(mi) != 3 or any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0
+                            for v in mi) or not (1 <= sum(mi) <= 2)):
+        raise ValueError("multi_index must be 3 nonnegative integers with 1 <= l+m+n <= 2")
     W = _sampled(k, U.grid, tuple(a for a, v in enumerate(mi) for _ in range(v)))
     return ScalarField(U.grid, convolve_offsets(U.samples, W, U.grid.h))

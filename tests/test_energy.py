@@ -98,6 +98,27 @@ class TestEnergyBalance:
         with pytest.raises(ValueError, match="3"):
             energy_balance_residual(ser, states, None, PAR)
 
+    def test_states_and_forcing_must_be_the_series_own(self, grid16):
+        # a series read with another run's states or forcing mixes two runs:
+        # W and J1 from one, the work from the other
+        times = [0.0, 0.1, 0.2, 0.3]
+        u0 = solenoidal_gaussian(grid16, width=1.0)
+        states = solve_linearized(u0, None, PAR, times)
+        ser = diagnostics_series(states, None, PAR)
+        # a copy of the list holds the same states
+        own = energy_balance_residual(ser, states, None, PAR).lhs
+        assert energy_balance_residual(ser, list(states), None, PAR).lhs == own
+        F = solenoidal_pulse_forcing(grid16, width=1.0, amplitude=1.0, t_scale=1.0)
+        forced = solve_linearized(u0, F, PAR, times)
+        for series, other, forcing in (
+                (ser, solve_linearized(u0 * 2.0, None, PAR, times), None),
+                (ser, solve_linearized(u0, None, PAR, times), None),
+                (ser, states[:3], None),
+                (ser, states, F),
+                (diagnostics_series(forced, F, PAR), forced, None)):
+            with pytest.raises(ValueError, match="the series' own"):
+                energy_balance_residual(series, other, forcing, PAR)
+
 
 class TestEnergyInequality:
     def test_unforced_decay(self, grid32):
@@ -109,6 +130,12 @@ class TestEnergyInequality:
         z = VectorField3.zeros(grid16)
         states = [FlowState(t, z, ScalarField.zeros(grid16)) for t in (0.0, 1.0)]
         assert energy_inequality_check(diagnostics_series(states)).passed
+
+    def test_one_state_is_an_error_not_a_pass(self, grid16):
+        # one state compares nothing: sqrt(W(0)) <= sqrt(W(0)) is no pass
+        _, states = _heat_states(grid16, times=(0.0,))
+        with pytest.raises(ValueError, match="at least 2 time samples"):
+            energy_inequality_check(diagnostics_series(states))
 
     def test_forced_run_passes_with_margin(self):
         g = make_grid(20, 4.0)
@@ -235,6 +262,14 @@ class TestBoundSuite:
         with pytest.raises(ValueError, match="at least 2 time samples"):
             bound_suite(None, states, F, par)
 
+    def test_unforced_suite_needs_two_states(self, grid16):
+        # the monotone bounds compare later states with the first: one state
+        # is an error, not three passes with nothing compared
+        u0, states = _heat_states(grid16, times=(0.0,))
+        for scaling in (False, True):
+            with pytest.raises(ValueError, match="at least 2 time samples"):
+                bound_suite(u0, states, None, PAR, scaling=scaling)
+
 
 def _bound_suite_oracle(states, forcing, params, fit):
     """bound_suite's reports built from a full diagnostics series of its own
@@ -243,7 +278,7 @@ def _bound_suite_oracle(states, forcing, params, fit):
     ser = diagnostics_series(_undiagnosed(states), forcing)
     t = ser.times
     col = {name: ser.column(name) for name in ("W", "J1", "J2", "V", "D1")}
-    if not (forcing is not None and any(f > 0 for f in ser.forcing_norms)):
+    if not (forcing is not None and any(f > 0 for f in ser.column("norm"))):
         reports = [_monotone_report(name, col[key], 1e-10) for name, key in (
             ("sup-speed-monotone", "V"), ("energy-monotone", "W"),
             ("gradient-seminorm-monotone", "J1"))]
@@ -261,7 +296,7 @@ def _bound_suite_oracle(states, forcing, params, fit):
         return reports
     sup_f = [sup_norm(forcing.at(tk)) for tk in t]
     reports = []
-    for name, norms, values in (("forced-gradient-ratio", ser.forcing_norms, col["J1"]),
+    for name, norms, values in (("forced-gradient-ratio", ser.column("norm"), col["J1"]),
                                 ("forced-sup-derivative-ratio", sup_f, col["D1"])):
         ratios = []
         for k in range(1, len(t)):
@@ -505,6 +540,16 @@ class TestHolderProbe:
         u = solenoidal_gaussian(grid16, width=1.0)
         with pytest.raises(ValueError, match="core"):
             max_increment_structure(u, [12], 5)
+
+    @pytest.mark.parametrize("core", [0, 9, 10, 12])
+    def test_core_must_fit_the_grid(self, grid16, core):
+        # a core of more than n/2 cells wraps its slice (core 10 on 16 cells
+        # kept the last 2 cells of each axis), so it is an error
+        u = solenoidal_gaussian(grid16, width=1.0)
+        with pytest.raises(ValueError, match="core_half_cells must be in \\[1, 8\\]"):
+            max_increment_structure(u, [1], core)
+        rs, S = max_increment_structure(u, [1], 8)
+        assert rs[0] == grid16.h and S[0] > 0.1
 
     def test_separation_must_be_a_cell_or_more(self, grid16):
         # a 0-cell separation would give S = 0, which the log-log fit drops

@@ -216,6 +216,17 @@ class TestMollifyDerivative:
         with pytest.raises(ValueError, match="l\\+m\\+n"):
             mollify_derivative(gauss32, k, (1, 1, 1))
 
+    @pytest.mark.parametrize("mi", [(0.5, 1, 0), (True, 0, 0), (1.0, 0, 0), (0, np.True_, 0)])
+    def test_non_integer_entries_rejected(self, gauss32, mi):
+        # int() would take (0.5, 1, 0) as (0, 1, 0) and True as 1
+        with pytest.raises(ValueError, match="integers"):
+            mollify_derivative(gauss32, make_kernel(1.0), mi)
+
+    def test_numpy_integer_entries_accepted(self, gauss32):
+        k = make_kernel(1.0)
+        got = mollify_derivative(gauss32, k, np.array([1, 0, 1]))
+        assert got.samples.tobytes() == mollify_derivative(gauss32, k, (1, 0, 1)).samples.tobytes()
+
     def test_commutes_with_derive_at_h2_rate(self):
         k = make_kernel(1.0)
         sups = []
