@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -29,11 +29,30 @@ class ConfigError(ValueError):
     pass
 
 
-VERIFY_CHECKS = (
-    "energy_balance", "energy_inequality", "monotone_bounds", "schwarz",
-    "hardy", "representation", "quasi_derivative", "negative_control",
-)
-MIN_TIMES = {"energy_balance": 3}  # a check or study that needs more than 2 samples
+# One table per choice, read by validation, the sample-count rule and dispatch. A
+# check: (times it needs, its reports on one run: f(cfg, run, probe)), run the solved
+# series and probe() the shared scalar test field, built on first use; a study: (times
+# it needs, one grid's report, whose lhs is the grid's value, and whether it is kept).
+VERIFY_CHECKS = {
+    "energy_balance": (3, lambda cfg, run, probe: [_balance(cfg, run)]),
+    "energy_inequality": (2, lambda cfg, run, probe: [energy.energy_inequality_check(run)]),
+    "monotone_bounds": (2, lambda cfg, run, probe: energy.bound_suite(
+        None, run.states, run.forcing, cfg.params)),
+    "schwarz": (2, lambda cfg, run, probe: [
+        analysis.schwarz_check(run.states[-1].u.u1, run.states[-1].u.u2)]),
+    "hardy": (2, lambda cfg, run, probe: [analysis.hardy_check(probe())]),
+    "representation": (2, lambda cfg, run, probe: [
+        analysis.representation_reconstruct(probe())[1]]),
+    "quasi_derivative": (2, lambda cfg, run, probe: [_quasi_derivative_report(probe())]),
+    "negative_control": (2, lambda cfg, run, probe: [_negative_control_report(run, cfg.params)]),
+}
+STUDIES = {
+    "representation": (2, lambda cfg, grid: (
+        analysis.representation_reconstruct(_probe(grid))[1], True)),
+    "quasi_derivative": (2, lambda cfg, grid: (_quasi_derivative_report(_probe(grid)), True)),
+    # no per-grid report: the balance's 2-percent bound needs >= 64^3 data
+    "energy_balance": (3, lambda cfg, grid: (_balance(cfg, _solve(cfg, grid)), False)),
+}
 
 # The config schema, one key set for every subcommand: {section: {key: (type,
 # default)}}, top-level keys as (type, default).  A float is any JSON number
@@ -96,7 +115,8 @@ def _checked(raw, table, where=None):
 def _generator(sec, registry, where):
     name = sec["generator"]
     _require(name in registry, f"{where}.generator: unknown generator '{name}'")
-    return name, _checked(sec["params"], registry[name][1], f"{where}.params")
+    builder, params = registry[name]
+    return partial(builder, **_checked(sec["params"], params, f"{where}.params"))
 
 
 class ExperimentConfig:
@@ -113,15 +133,25 @@ class ExperimentConfig:
             self.params = FluidParams(**c["params"])
         except ValueError as e:
             raise ConfigError(f"params: {e}") from e
-        self.initial_name, self.initial_params = _generator(
-            c["initial"], fieldgen.INITIAL_GENERATORS, "initial")
-        self.forcing_name, self.forcing_params = _generator(
-            c["forcing"], fieldgen.FORCING_GENERATORS, "forcing")
+        self.initial = _generator(c["initial"], fieldgen.INITIAL_GENERATORS, "initial")
+        self.forcing = _generator(c["forcing"], fieldgen.FORCING_GENERATORS, "forcing")
 
-        self.t_start, self.t_end, self.t_count = (c["times"][k] for k in ("start", "end", "count"))
-        _require(self.t_start >= 0.0, "times.start must be >= 0")
-        _require(self.t_end > self.t_start, "times.end must exceed times.start")
-        _require(self.t_count >= 2, "times.count must be >= 2")
+        start, end, count = (c["times"][k] for k in ("start", "end", "count"))
+        _require(start >= 0.0, "times.start must be >= 0")
+        _require(end > start, "times.end must exceed times.start")
+        self.checks, self.study = c["checks"], c["study"]
+        for i, name in enumerate(self.checks):
+            _require(name in VERIFY_CHECKS, f"checks: unknown check '{name}'")
+            _require(name not in self.checks[:i], f"checks: repeated check '{name}'")
+        _require(self.study in STUDIES, f"study: unknown study '{self.study}'")
+        # each check or study run needs its own count of times and every run 2 (one
+        # would solve only at start); the least demanding count not met is named
+        needs = {"verify": [(VERIFY_CHECKS[n][0], n) for n in self.checks],
+                 "convergence-study": [(STUDIES[self.study][0], self.study)]}.get(command, [])
+        for k, name in sorted(needs):
+            _require(count >= k, f"times.count must be >= {k} for {name}")
+        _require(count >= 2, "times.count must be >= 2")
+        self.times = list(np.linspace(start, end, count))
 
         self.epsilons = c["epsilons"]
         _require(len(set(self.epsilons)) == len(self.epsilons) >= 2
@@ -139,46 +169,29 @@ class ExperimentConfig:
             self.grids = [make_grid(n, self.grid.L) for n in c["grids"]]
         except ValueError as e:
             raise ConfigError(f"grids: {e} (got {c['grids']})") from e
-        self.study = c["study"]
-        _require(self.study in ("representation", "quasi_derivative", "energy_balance"),
-                 f"study: unknown study '{self.study}'")
-
-        self.checks = c["checks"]
-        for name in self.checks:
-            _require(name in VERIFY_CHECKS, f"checks: unknown check '{name}'")
-        for name in {"verify": self.checks, "convergence-study": [self.study]}.get(command, []):
-            k = MIN_TIMES.get(name, 2)
-            _require(self.t_count >= k, f"times.count: {name} needs at least {k} samples")
         self.output = c["output"]
 
-    def times(self):
-        return list(np.linspace(self.t_start, self.t_end, self.t_count))
 
-
-def _fmt(x):
-    return repr(float(x))
-
-
-def write_diagnostics_csv(path, series):
-    rows = ["t,W,J1,J2,V,D1,Xnorm"]
-    for s, fn in zip(series.samples, series.column("norm")):
-        rows.append(",".join(_fmt(v) for v in (s.t, s.W, s.J1, s.J2, s.V, s.D1, fn)))
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(rows) + "\n")
+def _write_csv(out_dir, name, header, rows):
+    """out_dir/name, out_dir made if missing: the header line, then one line per row of
+    numbers in full double precision."""
+    os.makedirs(out_dir, exist_ok=True)
+    lines = [header] + [",".join(repr(float(v)) for v in row) for row in rows]
+    with open(os.path.join(out_dir, name), "w", newline="\n") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def _solve(cfg, grid):
     """The configured u0 and forcing built on ``grid`` and solved at the configured times."""
-    u0 = fieldgen.initial_condition(cfg.initial_name, grid, cfg.initial_params)
-    forcing = fieldgen.forcing(cfg.forcing_name, grid, cfg.forcing_params)
-    return energy.diagnostics_series(solve_linearized(u0, forcing, cfg.params, cfg.times()),
+    u0, forcing = cfg.initial(grid), cfg.forcing(grid)
+    return energy.diagnostics_series(solve_linearized(u0, forcing, cfg.params, cfg.times),
                                      forcing, cfg.params)
 
 
-def _solve_pipeline(cfg, out_dir, write_fields=True):
-    series = _solve(cfg, cfg.grid)
-    os.makedirs(out_dir, exist_ok=True)
-    write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), series)
+def _write_run(cfg, out_dir, series, write_fields):
+    _write_csv(out_dir, "diagnostics.csv", "t,W,J1,J2,V,D1,Xnorm",
+               [(s.t, s.W, s.J1, s.J2, s.V, s.D1, fn)
+                for s, fn in zip(series.samples, series.column("norm"))])
     if write_fields:
         for k, s in enumerate(series.states):
             for ci, comp in enumerate(s.u.components, start=1):
@@ -192,41 +205,30 @@ def _solve_pipeline(cfg, out_dir, write_fields=True):
         with open(os.path.join(out_dir, "manifest.json"), "w") as f:
             json.dump(manifest, f, sort_keys=True, indent=2)
             f.write("\n")
-    return series
+
+
+def _probe_width(grid):
+    return min(1.0, grid.L / 6.0)
 
 
 def _probe(grid):
-    """The scalar test field of the hardy and representation checks."""
-    return fieldgen.gaussian_bump(grid, width=min(1.0, grid.L / 6.0))
+    """The scalar test field of the hardy, representation and quasi_derivative checks."""
+    return fieldgen.gaussian_bump(grid, width=_probe_width(grid))
 
 
-def _run_verify_checks(cfg, series):
-    states, forcing, reports = series.states, series.forcing, []
-    probe = _probe(cfg.grid) if {"hardy", "representation"} & set(cfg.checks) else None
-    for check in cfg.checks:
-        if check == "energy_balance":
-            reports.append(energy.energy_balance_residual(series, states, forcing, cfg.params))
-        elif check == "energy_inequality":
-            reports.append(energy.energy_inequality_check(series))
-        elif check == "monotone_bounds":
-            reports.extend(energy.bound_suite(None, states, forcing, cfg.params))
-        elif check == "schwarz":
-            u = states[-1].u
-            reports.append(analysis.schwarz_check(u.u1, u.u2))
-        elif check == "hardy":
-            reports.append(analysis.hardy_check(probe))
-        elif check == "representation":
-            reports.append(analysis.representation_reconstruct(probe)[1])
-        elif check == "quasi_derivative":
-            reports.append(_quasi_derivative_report(cfg.grid))
-        elif check == "negative_control":
-            reports.append(_negative_control_report(cfg, states, forcing))
-    return reports
+def _verify(cfg, out_dir):
+    run = _solve(cfg, cfg.grid)
+    _write_run(cfg, out_dir, run, write_fields=False)
+    probe = lru_cache(maxsize=None)(lambda: _probe(cfg.grid))
+    return [r for name in cfg.checks for r in VERIFY_CHECKS[name][1](cfg, run, probe)]
 
 
-def _quasi_derivative_report(grid):
-    w = min(1.0, grid.L / 6.0)
-    U = fieldgen.gaussian_bump(grid, width=w)
+def _balance(cfg, run):
+    return energy.energy_balance_residual(run, run.states, run.forcing, cfg.params)
+
+
+def _quasi_derivative_report(U):
+    grid, w = U.grid, _probe_width(U.grid)  # U is the probe
     dU = ScalarField(grid, -(grid.axis()[:, None, None] / w ** 2) * U.samples)  # analytic d/dx1
     a = fieldgen.gaussian_bump(grid, width=w, center=(0.3 * w, -0.2 * w, 0.1 * w))
     res = abs(analysis.quasi_derivative_residual(U, dU, 1, a))
@@ -236,18 +238,16 @@ def _quasi_derivative_report(grid):
                        {"h": grid.h, "scale": float(scale)})
 
 
-def _negative_control_report(cfg, states, forcing):
+def _negative_control_report(run, params):
     """Deliberately corrupted final state: the residual check must fail."""
-    bad = states[-1]
-    t_mid = 0.5 * (states[-1].t + states[-2].t)
-    X_mid = forcing.at(t_mid) if forcing is not None else None
-    clean = residual_check(states[-1], states[-2], X_mid, cfg.params)
+    bad, prev = run.states[-1], run.states[-2]
+    X_mid = run.forcing.at(0.5 * (bad.t + prev.t)) if run.forcing is not None else None
+    clean = residual_check(bad, prev, X_mid, params)
     rng = np.random.default_rng(7)
     noisy = ScalarField(bad.grid, bad.u.u1.samples + rng.normal(0.0, 1.0, bad.u.u1.samples.shape))
     corrupted = FlowState(bad.t, VectorField3(noisy, bad.u.u2, bad.u.u3), bad.p)
     # judged against the clean pair's residual: corruption must dominate it
-    rep = residual_check(corrupted, states[-2], X_mid, cfg.params,
-                         tol=10.0 * max(clean.lhs, 1e-12))
+    rep = residual_check(corrupted, prev, X_mid, params, tol=10.0 * max(clean.lhs, 1e-12))
     rep.name = "negative-control-corrupted-state"
     rep.metadata["expected"] = "fail"
     rep.metadata["clean_residual"] = clean.lhs
@@ -257,9 +257,7 @@ def _negative_control_report(cfg, states, forcing):
 def _mollify_study(cfg, out_dir):
     grid = cfg.grid
     U = fieldgen.gaussian_bump(grid, width=cfg.field_width)
-    reports = []
-    rows = ["epsilon,mass_error,distance,norm_ratio,selfadjoint_residual"]
-    distances = []
+    reports, rows, distances = [], [], []
     eps_sorted = sorted(cfg.epsilons, reverse=True)
     V = fieldgen.gaussian_bump(grid, width=1.3 * cfg.field_width, center=(0.4, 0.1, -0.2))
     for eps in eps_sorted:
@@ -280,34 +278,26 @@ def _mollify_study(cfg, out_dir):
                                    {"epsilon": eps}))
         d = analysis.strong_mean_distance(Um, U)
         distances.append(d)
-        rows.append(",".join(_fmt(v) for v in (eps, mass_err, d, n1 / n0, sa)))
+        rows.append((eps, mass_err, d, n1 / n0, sa))
     ratios = [b / a for a, b in zip(distances, distances[1:])]
     reports.append(make_report("mollifier-strong-convergence", max(ratios), 1.0, 0.0,
                                {"epsilons": eps_sorted, "distances": distances}))
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "mollify.csv"), "w", newline="\n") as f:
-        f.write("\n".join(rows) + "\n")
+    _write_csv(out_dir, "mollify.csv",
+               "epsilon,mass_error,distance,norm_ratio,selfadjoint_residual", rows)
     return reports
 
 
 def _convergence_study(cfg, out_dir):
     """Per-grid reports (``judged: false``) and the one judged refinement claim."""
-    reports = []
-    values = []
+    reports, values = [], []
     label = cfg.study.replace("_", "-")
     for grid in cfg.grids:
-        if cfg.study in ("representation", "quasi_derivative"):
-            rep = (analysis.representation_reconstruct(_probe(grid))[1]
-                   if cfg.study == "representation" else _quasi_derivative_report(grid))
+        rep, kept = STUDIES[cfg.study][1](cfg, grid)
+        values.append(rep.lhs)
+        if kept:
             rep.name = f"{label}-n{grid.n}"
             rep.metadata["judged"] = False
             reports.append(rep)
-            values.append(rep.lhs)
-        else:  # energy_balance: no per-grid report (its 2-percent default
-            # needs >= 64^3 data)
-            run = _solve(cfg, grid)
-            values.append(energy.energy_balance_residual(
-                run, run.states, run.forcing, cfg.params).lhs)
     # a zero value on the coarser grid: no growth if the finer one is zero too,
     # else unbounded growth, stored finite so report.json stays strict JSON
     worst_ratio = max(b / a if a > 0 else (0.0 if b == 0 else sys.float_info.max)
@@ -317,17 +307,18 @@ def _convergence_study(cfg, out_dir):
     return reports
 
 
+# subcommand -> its pipeline: f(cfg, out_dir), which returns its reports (None for solve)
+COMMANDS = {
+    "solve": lambda cfg, out_dir: _write_run(cfg, out_dir, _solve(cfg, cfg.grid), True),
+    "verify": _verify,
+    "mollify-study": _mollify_study,
+    "convergence-study": _convergence_study,
+}
+
+
 def run_experiment(cfg, out_dir):
     """Run the configured pipeline; returns (exit_code, reports)."""
-    reports = []
-    if cfg.command == "solve":
-        _solve_pipeline(cfg, out_dir, write_fields=True)
-    elif cfg.command == "verify":
-        reports = _run_verify_checks(cfg, _solve_pipeline(cfg, out_dir, write_fields=False))
-    elif cfg.command == "mollify-study":
-        reports = _mollify_study(cfg, out_dir)
-    elif cfg.command == "convergence-study":
-        reports = _convergence_study(cfg, out_dir)
+    reports = COMMANDS[cfg.command](cfg, out_dir) or []
     if reports:
         os.makedirs(out_dir, exist_ok=True)
         write_reports_json(reports, os.path.join(out_dir, "report.json"))
@@ -340,7 +331,7 @@ def _parser():
     parser = argparse.ArgumentParser(
         prog="slowflow", description="linearized-flow experiment runner and verifier")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "verify", "mollify-study", "convergence-study"):
+    for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument("--out", default=None, help="output directory (overrides config)")

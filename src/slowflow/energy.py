@@ -19,6 +19,7 @@ __all__ = [
 
 SCALING_TOL = 0.15  # acceptance band around each predicted exponent
 ENERGY_INEQ_RTOL = 1e-10  # energy inequality tolerance, relative to sqrt(W(0))
+BALANCE_RTOL = 0.02  # energy balance tolerance, relative to the balance's largest term
 
 
 @dataclass
@@ -69,7 +70,7 @@ def diagnostics_series(states, forcing=None, params=None):
     return DiagnosticsSeries(list(states), forcing)
 
 
-def energy_balance_residual(series, states, forcing, params, rel_tol=0.02):
+def energy_balance_residual(series, states, forcing, params):
     """Residual of nu * int J1^2 + (W(t) - W(0))/2 = work done by the forcing.
 
     Trapezoidal time quadrature on the state grid; the report carries the
@@ -88,7 +89,7 @@ def energy_balance_residual(series, states, forcing, params, rel_tol=0.02):
     scale = float(max(W.max(), dissip.max(), np.abs(work).max()))
     res = np.abs(dissip + 0.5 * (W - W[0]) - work)[1:]
     residuals = [float(r / scale) if scale > 0 else 0.0 for r in res]
-    return make_report("energy-balance", max(residuals), rel_tol, 0.0,
+    return make_report("energy-balance", max(residuals), BALANCE_RTOL, 0.0,
                        {"residuals": residuals, "W0": float(W[0]), "scale": scale})
 
 

@@ -16,7 +16,7 @@ from .stokes import ForcingField
 __all__ = [
     "gaussian_bump", "gaussian_mixture", "solenoidal_gaussian",
     "random_solenoidal", "sin_probe", "cusp_flow",
-    "initial_condition", "forcing", "INITIAL_GENERATORS", "FORCING_GENERATORS",
+    "INITIAL_GENERATORS", "FORCING_GENERATORS",
 ]
 
 
@@ -189,8 +189,8 @@ def solenoidal_pulse_forcing(grid, width=1.0, amplitude=1.0, t_scale=1.0,
 
 # --- named registries for experiment configs -------------------------------
 # name -> (builder, {param: type}); a config's params are checked against the
-# type table (see cli) and passed as keywords, so the builders' own defaults
-# are the only defaults
+# type table and bound to the builder as keywords (see cli), so the builders'
+# own defaults are the only defaults
 
 INITIAL_GENERATORS = {
     "zero": (VectorField3.zeros, {}),
@@ -207,14 +207,3 @@ FORCING_GENERATORS = {
                        {"width": float, "amplitude": float, "t_scale": float}),
 }
 
-
-def initial_condition(name, grid, params=None):
-    if name not in INITIAL_GENERATORS:
-        raise ValueError(f"unknown initial-condition generator '{name}'")
-    return INITIAL_GENERATORS[name][0](grid, **(params or {}))
-
-
-def forcing(name, grid, params=None):
-    if name not in FORCING_GENERATORS:
-        raise ValueError(f"unknown forcing generator '{name}'")
-    return FORCING_GENERATORS[name][0](grid, **(params or {}))

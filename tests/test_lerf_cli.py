@@ -162,7 +162,7 @@ class TestRunExperiment:
         assert len(manifest["times"]) == 4
 
     def test_verify_passes(self, tmp_path):
-        # energy_balance needs >= 64^3 for its 2-percent default tolerance
+        # energy_balance needs >= 64^3 for its 2-percent bound
         # (covered by the acceptance suite); this exercises the other checks
         raw = dict(BASE_CONFIG,
                    checks=["energy_inequality", "monotone_bounds",
@@ -295,12 +295,16 @@ class TestCliMain:
         assert cli._parser() is cli._parser()
 
     def test_hardy_and_representation_share_one_probe(self, tmp_path, monkeypatch):
-        calls = []
-        probe = cli._probe
+        # and so does quasi_derivative: the centered bump is built once per verify
+        calls, bumps = [], []
+        probe, bump = cli._probe, fieldgen.gaussian_bump
         monkeypatch.setattr(cli, "_probe", lambda grid: calls.append(grid.n) or probe(grid))
-        path = _write_config(tmp_path, {"checks": ["hardy", "representation"]})
+        monkeypatch.setattr(fieldgen, "gaussian_bump",
+                            lambda grid, **kw: bumps.append(kw) or bump(grid, **kw))
+        path = _write_config(tmp_path, {"checks": ["hardy", "representation", "quasi_derivative"]})
         assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
         assert calls == [16]
+        assert bumps.count({"width": 1.0}) == 1
         assert main(["verify", "--config", str(path), "--out", str(tmp_path / "p"),
                      "--check", "schwarz"]) == 0
         assert calls == [16]
@@ -472,12 +476,77 @@ def test_zero_time_scale_is_a_solver_error(tmp_path, capsys, section, generator,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("extra,flags", [
+    ({"checks": ["schwarz", "hardy", "schwarz"]}, []),
+    ({}, ["--check", "schwarz", "--check", "schwarz"]),
+], ids=["config", "flags"])
+def test_repeated_check_is_a_config_error(tmp_path, capsys, extra, flags):
+    # a repeated check would write the same report twice, as a repeated epsilon would
+    path = _write_config(tmp_path, extra)
+    code = main(["verify", "--config", str(path), "--out", str(tmp_path / "o"), *flags])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: checks: repeated check 'schwarz'\n"
+    assert not (tmp_path / "o").exists()
+
+
+# the reports one row of cli.VERIFY_CHECKS or cli.STUDIES writes alone, on grids 8 and 16
+ROW_REPORTS = {
+    ("verify", "energy_balance"): ["energy-balance"],
+    ("verify", "energy_inequality"): ["energy-inequality"],
+    ("verify", "monotone_bounds"): ["sup-speed-monotone", "energy-monotone",
+                                    "gradient-seminorm-monotone"],
+    ("verify", "schwarz"): ["schwarz"],
+    ("verify", "hardy"): ["hardy"],
+    ("verify", "representation"): ["representation-identity"],
+    ("verify", "quasi_derivative"): ["quasi-derivative-residual"],
+    ("verify", "negative_control"): ["negative-control-corrupted-state"],
+    ("convergence-study", "representation"): ["representation-n8", "representation-n16",
+                                              "representation-refinement-decrease"],
+    ("convergence-study", "quasi_derivative"): ["quasi-derivative-n8", "quasi-derivative-n16",
+                                                "quasi-derivative-refinement-decrease"],
+    ("convergence-study", "energy_balance"): ["energy-balance-refinement-decrease"],
+}
+TABLE_ROWS = ([("verify", name, need) for name, (need, _) in cli.VERIFY_CHECKS.items()]
+              + [("convergence-study", name, need) for name, (need, _) in cli.STUDIES.items()])
+
+
+@pytest.mark.parametrize("command,name,need", TABLE_ROWS,
+                         ids=[f"{command}-{name}" for command, name, _ in TABLE_ROWS])
+def test_each_row_runs_alone_from_its_sample_minimum(tmp_path, capsys, command, name, need):
+    # one time fewer than the row needs is a config error naming the row, before any
+    # write; at its minimum the row runs (a failed check exits 1) and writes its reports
+    row = {"checks": [name]} if command == "verify" else {"study": name}
+    for count in (need - 1, need):
+        path = _write_config(tmp_path, dict(row, grid={"n": 8, "L": 2.0}, grids=[8, 16],
+                                            times={"end": 0.5, "count": count}))
+        out = tmp_path / f"o{count}"
+        code = main([command, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        if count < need:
+            assert code == 2 and not out.exists()
+            assert err == f"config error: times.count must be >= {need} for {name}\n"
+        else:
+            assert code in (0, 1) and err == ""
+            names = [r["name"] for r in json.loads((out / "report.json").read_text())]
+            assert names == ROW_REPORTS[command, name]
+
+
 def test_readme_example_config_is_valid():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     raw = json.loads(cli_section.split("```json\n", 1)[1].split("```", 1)[0])
     for command in ("solve", "verify", "mollify-study", "convergence-study"):
         ExperimentConfig(raw, command)
+
+
+def test_readme_lists_the_checks_and_studies_of_the_tables():
+    # README's two tables: each row's name and times.count, in the order of cli's tables
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for header, table in (("| `verify` check |", cli.VERIFY_CHECKS),
+                          ("| `convergence-study` study |", cli.STUDIES)):
+        rows = readme.split(header, 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+        cells = [[c.strip() for c in row.strip("|").split("|")] for row in rows]
+        assert [(c[0], int(c[-1])) for c in cells] == [(f"`{n}`", k) for n, (k, _) in table.items()]
 
 
 def test_grid_L_override(tmp_path):
@@ -589,7 +658,7 @@ def test_energy_study_solves_with_the_configured_forcing(tmp_path):
     par, times = FluidParams(1.0, 1.0), list(np.linspace(0.0, 0.5, 4))
     for n, value in zip((16, 24), values):
         g = make_grid(n, 4.0)
-        F = fieldgen.forcing("solenoidal_pulse", g)
+        F = fieldgen.solenoidal_pulse_forcing(g)
         states = solve_linearized(VectorField3.zeros(g), F, par, times)
         series = energy.diagnostics_series(states, F, par)
         assert value == energy.energy_balance_residual(series, states, F, par).lhs
